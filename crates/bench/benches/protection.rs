@@ -9,21 +9,22 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use guardnn::perf::{evaluate, EvalConfig, Mode, Scheme};
 use guardnn_memprot::baseline::BaselineMee;
 use guardnn_memprot::guardnn::{GuardNnConfig, GuardNnEngine, Protection};
-use guardnn_memprot::{ProtectionEngine, StreamClass};
+use guardnn_memprot::ProtectionEngine;
 use guardnn_models::layer::{conv, fc};
 use guardnn_models::Network;
 use std::hint::black_box;
 
 const FOOTPRINT: u64 = 1 << 30;
 
+/// Streams `blocks` 64-B blocks through `engine` as alternating 256-block
+/// write and 768-block read ranges; returns the metadata accesses.
 fn stream_blocks(engine: &mut dyn ProtectionEngine, blocks: u64) -> usize {
-    let mut meta = 0usize;
-    for b in 0..blocks {
-        meta += engine
-            .on_access(b * 64, b % 4 == 0, StreamClass::FeatureWrite)
-            .len();
+    let mut meta = Vec::new();
+    for start in (0..blocks).step_by(1024) {
+        engine.on_range(start..start + 256, true, &mut meta);
+        engine.on_range(start + 256..start + 1024, false, &mut meta);
     }
-    meta + engine.flush().len()
+    meta.len() + engine.flush().len()
 }
 
 fn bench_engines(c: &mut Criterion) {

@@ -9,7 +9,8 @@
 //! BP's ~35% traffic and ~1.25× slowdown on DNNs.
 
 use crate::cache::MetaCache;
-use crate::{MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{MetaAccess, ProtectionEngine, TaggedMeta, BLOCK_BYTES};
+use std::ops::Range;
 
 /// Configuration of the MEE model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,16 +103,6 @@ impl BaselineMee {
         self.cache.miss_rate()
     }
 
-    fn vn_line_addr(&self, block_addr: u64) -> u64 {
-        let block = block_addr / BLOCK_BYTES;
-        self.vn_base + block / self.cfg.blocks_per_vn_line * BLOCK_BYTES
-    }
-
-    fn mac_line_addr(&self, block_addr: u64) -> u64 {
-        let block = block_addr / BLOCK_BYTES;
-        self.mac_base + block / self.cfg.blocks_per_mac_line * BLOCK_BYTES
-    }
-
     fn tree_node_addr(&self, level: usize, vn_line_index: u64) -> u64 {
         let divisor = self.cfg.tree_arity.pow(level as u32 + 1);
         let node = (vn_line_index / divisor).min(self.tree_lines[level] - 1);
@@ -119,17 +110,15 @@ impl BaselineMee {
     }
 
     /// Touches a metadata line through the cache, recording DRAM traffic
-    /// for the miss fill and any dirty write-back.
-    fn touch(&mut self, addr: u64, dirty: bool, out: &mut Vec<MetaAccess>) -> bool {
+    /// for the miss fill and any dirty write-back behind data block
+    /// `block`.
+    fn touch(&mut self, addr: u64, dirty: bool, block: u64, out: &mut Vec<TaggedMeta>) -> bool {
         let res = self.cache.access(addr, dirty);
         if let Some(victim) = res.writeback {
-            out.push(MetaAccess {
-                addr: victim,
-                write: true,
-            });
+            out.push(TaggedMeta::new(block, victim, true));
         }
         if !res.hit {
-            out.push(MetaAccess { addr, write: false });
+            out.push(TaggedMeta::new(block, addr, false));
         }
         res.hit
     }
@@ -144,39 +133,49 @@ impl ProtectionEngine for BaselineMee {
         true
     }
 
-    fn on_access(&mut self, block_addr: u64, write: bool, _stream: StreamClass) -> Vec<MetaAccess> {
-        let mut out = Vec::new();
-        // Version-number line: read to build the counter, dirtied by writes
-        // (the per-block counter increments).
-        let vn_line = self.vn_line_addr(block_addr);
-        let vn_hit = self.touch(vn_line, write, &mut out);
-        // Counter-tree walk: on a VN miss the line must be verified against
-        // the tree, walking up until a cached (already-verified) node. On a
-        // write the touched nodes become dirty.
-        if !vn_hit {
-            let vn_line_index = (vn_line - self.vn_base) / BLOCK_BYTES;
-            for level in 0..self.tree_base.len() {
-                let node = self.tree_node_addr(level, vn_line_index);
-                let hit = self.touch(node, write, &mut out);
-                if hit {
-                    break;
+    fn on_range(&mut self, blocks: Range<u64>, write: bool, out: &mut Vec<TaggedMeta>) {
+        // VN, tree and MAC lines share the cache, so every block takes its
+        // turn; the block's VN and MAC lines are stepped, not divided out.
+        let (per_vn, per_mac) = (self.cfg.blocks_per_vn_line, self.cfg.blocks_per_mac_line);
+        let mut vn_index = blocks.start / per_vn;
+        let mut vn_left = per_vn - blocks.start % per_vn;
+        let mut mac_line = self.mac_base + blocks.start / per_mac * BLOCK_BYTES;
+        let mut mac_left = per_mac - blocks.start % per_mac;
+        for block in blocks {
+            // Version-number line: read to build the counter, dirtied by
+            // writes (the per-block counter increments).
+            let vn_line = self.vn_base + vn_index * BLOCK_BYTES;
+            // Counter-tree walk: on a VN miss the line must be verified
+            // against the tree, walking up until a cached (already-verified)
+            // node. On a write the touched nodes become dirty.
+            if !self.touch(vn_line, write, block, out) {
+                for level in 0..self.tree_base.len() {
+                    let node = self.tree_node_addr(level, vn_index);
+                    if self.touch(node, write, block, out) {
+                        break;
+                    }
                 }
             }
-        }
-        // MAC line: verified on read; on write the MAC is recomputed from
-        // scratch, so the line is allocated dirty without a fetch.
-        let mac_line = self.mac_line_addr(block_addr);
-        if write {
-            if let Some(victim) = self.cache.write_no_fetch(mac_line).writeback {
-                out.push(MetaAccess {
-                    addr: victim,
-                    write: true,
-                });
+            // MAC line: verified on read; on write the MAC is recomputed
+            // from scratch, so the line is allocated dirty without a fetch.
+            if write {
+                if let Some(victim) = self.cache.write_no_fetch(mac_line).writeback {
+                    out.push(TaggedMeta::new(block, victim, true));
+                }
+            } else {
+                self.touch(mac_line, false, block, out);
             }
-        } else {
-            self.touch(mac_line, false, &mut out);
+            vn_left -= 1;
+            if vn_left == 0 {
+                vn_index += 1;
+                vn_left = per_vn;
+            }
+            mac_left -= 1;
+            if mac_left == 0 {
+                mac_line += BLOCK_BYTES;
+                mac_left = per_mac;
+            }
         }
-        out
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {
@@ -188,12 +187,87 @@ impl ProtectionEngine for BaselineMee {
     }
 }
 
+/// The per-block model `on_range` replaced, kept as its differential
+/// reference: one call per 64-byte block, lines found by division.
+#[cfg(test)]
+mod per_block {
+    use super::*;
+    use crate::reference::PerBlock;
+
+    impl BaselineMee {
+        fn vn_line_addr(&self, block_addr: u64) -> u64 {
+            let block = block_addr / BLOCK_BYTES;
+            self.vn_base + block / self.cfg.blocks_per_vn_line * BLOCK_BYTES
+        }
+
+        fn mac_line_addr(&self, block_addr: u64) -> u64 {
+            let block = block_addr / BLOCK_BYTES;
+            self.mac_base + block / self.cfg.blocks_per_mac_line * BLOCK_BYTES
+        }
+
+        fn touch_ref(&mut self, addr: u64, dirty: bool, out: &mut Vec<MetaAccess>) -> bool {
+            let res = self.cache.access(addr, dirty);
+            if let Some(victim) = res.writeback {
+                out.push(MetaAccess {
+                    addr: victim,
+                    write: true,
+                });
+            }
+            if !res.hit {
+                out.push(MetaAccess { addr, write: false });
+            }
+            res.hit
+        }
+    }
+
+    impl PerBlock for BaselineMee {
+        fn access_block(&mut self, block_addr: u64, write: bool) -> Vec<MetaAccess> {
+            let mut out = Vec::new();
+            let vn_line = self.vn_line_addr(block_addr);
+            let vn_hit = self.touch_ref(vn_line, write, &mut out);
+            if !vn_hit {
+                let vn_line_index = (vn_line - self.vn_base) / BLOCK_BYTES;
+                for level in 0..self.tree_base.len() {
+                    let node = self.tree_node_addr(level, vn_line_index);
+                    let hit = self.touch_ref(node, write, &mut out);
+                    if hit {
+                        break;
+                    }
+                }
+            }
+            let mac_line = self.mac_line_addr(block_addr);
+            if write {
+                if let Some(victim) = self.cache.write_no_fetch(mac_line).writeback {
+                    out.push(MetaAccess {
+                        addr: victim,
+                        write: true,
+                    });
+                }
+            } else {
+                self.touch_ref(mac_line, false, &mut out);
+            }
+            out
+        }
+
+        fn meta_cache(&self) -> &MetaCache {
+            &self.cache
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn engine(mb: u64) -> BaselineMee {
         BaselineMee::with_defaults(mb << 20)
+    }
+
+    /// Metadata of one range call.
+    fn range(e: &mut BaselineMee, blocks: Range<u64>, write: bool) -> Vec<MetaAccess> {
+        let mut out = Vec::new();
+        e.on_range(blocks, write, &mut out);
+        out.into_iter().map(|m| m.meta).collect()
     }
 
     #[test]
@@ -210,7 +284,7 @@ mod tests {
     #[test]
     fn cold_access_fetches_vn_tree_and_mac() {
         let mut e = engine(64);
-        let metas = e.on_access(0, false, StreamClass::FeatureRead);
+        let metas = range(&mut e, 0..1, false);
         // VN line + ≥1 tree node + MAC line.
         assert!(metas.len() >= 3, "got {metas:?}");
         assert!(metas.iter().all(|m| !m.write));
@@ -219,11 +293,8 @@ mod tests {
     #[test]
     fn streaming_amortizes_metadata() {
         let mut e = engine(64);
-        let mut meta = 0usize;
         let blocks = 4096u64;
-        for b in 0..blocks {
-            meta += e.on_access(b * 64, false, StreamClass::FeatureRead).len();
-        }
+        let meta = range(&mut e, 0..blocks, false).len();
         // One VN line + one MAC line per 8 blocks ≈ 0.25 per block, plus a
         // thin stream of tree nodes.
         let per_block = meta as f64 / blocks as f64;
@@ -233,22 +304,18 @@ mod tests {
     #[test]
     fn writes_create_writebacks() {
         let mut e = engine(256);
-        let mut wb = 0usize;
         // Write a large region so dirty VN/MAC lines must be evicted.
-        for b in 0..200_000u64 {
-            wb += e
-                .on_access(b * 64, true, StreamClass::FeatureWrite)
-                .iter()
-                .filter(|m| m.write)
-                .count();
-        }
+        let wb = range(&mut e, 0..200_000, true)
+            .iter()
+            .filter(|m| m.write)
+            .count();
         assert!(wb > 0, "dirty metadata must be written back under pressure");
     }
 
     #[test]
     fn flush_drains_dirty_lines() {
         let mut e = engine(64);
-        e.on_access(0, true, StreamClass::FeatureWrite);
+        range(&mut e, 0..1, true);
         let flushed = e.flush();
         assert!(!flushed.is_empty());
         assert!(flushed.iter().all(|m| m.write));
@@ -260,17 +327,12 @@ mod tests {
         let mut stream_e = engine(256);
         let mut scatter_e = engine(256);
         let n = 20_000u64;
-        let mut stream_meta = 0usize;
+        let stream_meta = range(&mut stream_e, 0..n, false).len();
         let mut scatter_meta = 0usize;
         for i in 0..n {
-            stream_meta += stream_e
-                .on_access(i * 64, false, StreamClass::FeatureRead)
-                .len();
             // Large prime stride defeats both cache and VN-line sharing.
-            let addr = (i * 64 * 8209) % (256 << 20);
-            scatter_meta += scatter_e
-                .on_access(addr, false, StreamClass::FeatureRead)
-                .len();
+            let block = (i * 8209) % ((256 << 20) / 64);
+            scatter_meta += range(&mut scatter_e, block..block + 1, false).len();
         }
         assert!(
             scatter_meta as f64 > 2.0 * stream_meta as f64,

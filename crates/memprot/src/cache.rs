@@ -14,17 +14,22 @@ pub struct CacheAccess {
     pub writeback: Option<u64>,
 }
 
+/// Bytes per cache line.
+const LINE_BYTES: u64 = 64;
+
 /// A set-associative, write-back, LRU cache for 64-byte metadata lines.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetaCache {
     sets: Vec<Vec<Line>>,
+    /// `sets.len() - 1` when the set count is a power of two (index by
+    /// mask); `None` indexes by remainder.
+    set_mask: Option<u64>,
     ways: usize,
-    line_bytes: u64,
     accesses: u64,
     misses: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Line {
     tag: u64,
     dirty: bool,
@@ -41,8 +46,7 @@ impl MetaCache {
     /// Panics if the geometry is degenerate (capacity not a multiple of
     /// way size, or zero sets).
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
-        let line_bytes = 64;
-        let lines = capacity_bytes / line_bytes;
+        let lines = capacity_bytes / LINE_BYTES;
         assert!(
             ways > 0 && lines >= ways as u64,
             "degenerate cache geometry"
@@ -51,15 +55,19 @@ impl MetaCache {
         assert!(n_sets > 0, "cache must have at least one set");
         Self {
             sets: vec![Vec::with_capacity(ways); n_sets],
+            set_mask: n_sets.is_power_of_two().then(|| n_sets as u64 - 1),
             ways,
-            line_bytes,
             accesses: 0,
             misses: 0,
         }
     }
 
     fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / self.line_bytes) % self.sets.len() as u64) as usize
+        let line = line_addr / LINE_BYTES;
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets.len() as u64) as usize,
+        }
     }
 
     /// Accesses the line containing `addr` with write-allocate-no-fetch
@@ -79,8 +87,17 @@ impl MetaCache {
     /// Accesses the line containing `addr`; `write` marks it dirty.
     /// Returns hit/miss and any dirty write-back the fill victimized.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
-        self.accesses += 1;
-        let line_addr = addr / self.line_bytes * self.line_bytes;
+        self.access_run(addr, write, 1)
+    }
+
+    /// `n ≥ 1` back-to-back [`MetaCache::access`]es to the line containing
+    /// `addr` in one step: the LRU stamps and the access and miss counters
+    /// end as after `n` single accesses. Returns the first access's
+    /// result; the later ones hit and evict nothing.
+    pub fn access_run(&mut self, addr: u64, write: bool, n: u64) -> CacheAccess {
+        debug_assert!(n > 0, "an access run covers at least one access");
+        self.accesses += n;
+        let line_addr = addr / LINE_BYTES * LINE_BYTES;
         let set_idx = self.set_index(line_addr);
         let stamp = self.accesses;
         let ways = self.ways;
@@ -124,7 +141,7 @@ impl MetaCache {
     /// Returns true if the line containing `addr` is resident (no state
     /// change).
     pub fn contains(&self, addr: u64) -> bool {
-        let line_addr = addr / self.line_bytes * self.line_bytes;
+        let line_addr = addr / LINE_BYTES * LINE_BYTES;
         self.sets[self.set_index(line_addr)]
             .iter()
             .any(|l| l.tag == line_addr)
@@ -158,6 +175,7 @@ impl MetaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::splitmix;
 
     #[test]
     fn hit_after_fill() {
@@ -209,6 +227,32 @@ mod tests {
         dirty.sort_unstable();
         assert_eq!(dirty, vec![0x000, 0x080]);
         assert!(c.flush_dirty().is_empty(), "flush clears dirty bits");
+    }
+
+    #[test]
+    fn access_run_equals_single_accesses() {
+        // 1-way and 3-set (not a power of two) geometries included.
+        for (capacity, ways) in [(256, 2), (192, 1), (768, 4)] {
+            let mut runs = MetaCache::new(capacity, ways);
+            let mut singles = runs.clone();
+            let hit = CacheAccess {
+                hit: true,
+                writeback: None,
+            };
+            let mut state = 7;
+            for _ in 0..2000 {
+                let r = splitmix(&mut state);
+                let addr = r % 32 * 64;
+                let write = r >> 40 & 1 == 1;
+                let n = (r >> 48) % 8 + 1;
+                let first = singles.access(addr, write);
+                for _ in 1..n {
+                    assert_eq!(singles.access(addr, write), hit);
+                }
+                assert_eq!(runs.access_run(addr, write, n), first);
+                assert_eq!(runs, singles);
+            }
+        }
     }
 
     #[test]

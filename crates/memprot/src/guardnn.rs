@@ -14,12 +14,14 @@
 //!
 //! ```
 //! use guardnn_memprot::guardnn::GuardNnEngine;
-//! use guardnn_memprot::{ProtectionEngine, StreamClass, BLOCK_BYTES};
+//! use guardnn_memprot::{ProtectionEngine, BLOCK_BYTES};
 //!
 //! // GuardNN_C: version numbers are on-chip registers, so encryption
 //! // adds zero metadata traffic on any access pattern.
 //! let mut c = GuardNnEngine::confidentiality_only(1 << 20);
-//! assert!(c.on_access(0, true, StreamClass::FeatureWrite).is_empty());
+//! let mut meta = Vec::new();
+//! c.on_range(0..1024, true, &mut meta);
+//! assert!(meta.is_empty());
 //! assert!(c.flush().is_empty());
 //!
 //! // GuardNN_CI: a flat 8-byte MAC per 512-byte chunk — no stored VNs,
@@ -29,19 +31,15 @@
 //! // reach DRAM only at the flush: 16 × 64 B over 64 KiB of data ≈ 1.6%
 //! // traffic overhead (the paper's §III-C).
 //! let mut ci = GuardNnEngine::confidentiality_and_integrity(1 << 20);
-//! let mut inline = 0;
-//! for block in 0..(64 << 10) / BLOCK_BYTES {
-//!     inline += ci
-//!         .on_access(block * BLOCK_BYTES, true, StreamClass::FeatureWrite)
-//!         .len();
-//! }
-//! assert_eq!(inline, 0, "write MACs coalesce in the on-chip buffer");
+//! ci.on_range(0..(64 << 10) / BLOCK_BYTES, true, &mut meta);
+//! assert!(meta.is_empty(), "write MACs coalesce in the on-chip buffer");
 //! assert_eq!(ci.flush().len(), 16);
 //! ```
 
 use crate::cache::MetaCache;
 use crate::vn::VersionCounters;
-use crate::{MetaAccess, ProtectionEngine, StreamClass, BLOCK_BYTES};
+use crate::{MetaAccess, ProtectionEngine, TaggedMeta, BLOCK_BYTES};
+use std::ops::Range;
 
 /// Protection level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,10 +123,9 @@ impl GuardNnEngine {
         &mut self.counters
     }
 
-    fn mac_line_addr(&self, block_addr: u64) -> u64 {
-        let chunk = block_addr / self.cfg.mac_chunk_bytes;
-        let entries_per_line = BLOCK_BYTES / self.cfg.mac_entry_bytes;
-        self.mac_base + chunk / entries_per_line * BLOCK_BYTES
+    /// Data bytes whose MACs share one 64-byte MAC line.
+    fn mac_line_span(&self) -> u64 {
+        self.cfg.mac_chunk_bytes * (BLOCK_BYTES / self.cfg.mac_entry_bytes)
     }
 }
 
@@ -156,35 +153,31 @@ impl ProtectionEngine for GuardNnEngine {
         guardnn_obs::Recorder::global().add("memprot.vn_advances", 1);
     }
 
-    fn on_access(&mut self, block_addr: u64, write: bool, stream: StreamClass) -> Vec<MetaAccess> {
+    fn on_range(&mut self, blocks: Range<u64>, write: bool, out: &mut Vec<TaggedMeta>) {
         // Encryption costs no traffic: the counter block is (address, VN)
         // with the VN from on-chip state.
-        let _ = stream;
         if self.cfg.protection == Protection::ConfidentialityOnly {
-            return Vec::new();
+            return;
         }
-        // Integrity: touch the MAC line for this chunk. Writes recompute
-        // the MAC, so they allocate without fetching.
-        let mut out = Vec::new();
-        let mac_line = self.mac_line_addr(block_addr);
-        let res = if write {
-            self.mac_cache.write_no_fetch(mac_line)
-        } else {
-            self.mac_cache.access(mac_line, false)
-        };
-        if let Some(victim) = res.writeback {
-            out.push(MetaAccess {
-                addr: victim,
-                write: true,
-            });
+        // Integrity: the blocks of a range touch each MAC line in one run,
+        // so the line is looked up once per run and its metadata follows
+        // the run's first block. Writes recompute the MAC, so they
+        // allocate without fetching.
+        let span = self.mac_line_span();
+        let mut block = blocks.start;
+        while block < blocks.end {
+            let line = block * BLOCK_BYTES / span;
+            let run_end = ((line + 1) * span).div_ceil(BLOCK_BYTES).min(blocks.end);
+            let mac_line = self.mac_base + line * BLOCK_BYTES;
+            let res = self.mac_cache.access_run(mac_line, write, run_end - block);
+            if let Some(victim) = res.writeback {
+                out.push(TaggedMeta::new(block, victim, true));
+            }
+            if !res.hit && !write {
+                out.push(TaggedMeta::new(block, mac_line, false));
+            }
+            block = run_end;
         }
-        if !res.hit {
-            out.push(MetaAccess {
-                addr: mac_line,
-                write: false,
-            });
-        }
-        out
     }
 
     fn flush(&mut self) -> Vec<MetaAccess> {
@@ -196,17 +189,70 @@ impl ProtectionEngine for GuardNnEngine {
     }
 }
 
+/// The per-block model `on_range` replaced, kept as its differential
+/// reference: one call per 64-byte block, one cache access per call.
+#[cfg(test)]
+mod per_block {
+    use super::*;
+    use crate::reference::PerBlock;
+
+    impl GuardNnEngine {
+        pub(super) fn mac_line_addr(&self, block_addr: u64) -> u64 {
+            let chunk = block_addr / self.cfg.mac_chunk_bytes;
+            let entries_per_line = BLOCK_BYTES / self.cfg.mac_entry_bytes;
+            self.mac_base + chunk / entries_per_line * BLOCK_BYTES
+        }
+    }
+
+    impl PerBlock for GuardNnEngine {
+        fn access_block(&mut self, block_addr: u64, write: bool) -> Vec<MetaAccess> {
+            if self.cfg.protection == Protection::ConfidentialityOnly {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            let mac_line = self.mac_line_addr(block_addr);
+            let res = if write {
+                self.mac_cache.write_no_fetch(mac_line)
+            } else {
+                self.mac_cache.access(mac_line, false)
+            };
+            if let Some(victim) = res.writeback {
+                out.push(MetaAccess {
+                    addr: victim,
+                    write: true,
+                });
+            }
+            if !res.hit {
+                out.push(MetaAccess {
+                    addr: mac_line,
+                    write: false,
+                });
+            }
+            out
+        }
+
+        fn meta_cache(&self) -> &MetaCache {
+            &self.mac_cache
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Metadata of one range call.
+    fn range(e: &mut impl ProtectionEngine, blocks: Range<u64>, write: bool) -> Vec<TaggedMeta> {
+        let mut out = Vec::new();
+        e.on_range(blocks, write, &mut out);
+        out
+    }
+
     #[test]
     fn confidentiality_only_is_free() {
         let mut e = GuardNnEngine::confidentiality_only(64 << 20);
-        for b in 0..10_000u64 {
-            assert!(e
-                .on_access(b * 64, b % 2 == 0, StreamClass::FeatureWrite)
-                .is_empty());
+        for b in (0..10_000u64).step_by(100) {
+            assert!(range(&mut e, b..b + 100, b % 200 == 0).is_empty());
         }
         assert!(e.flush().is_empty());
         assert_eq!(e.name(), "GuardNN_C");
@@ -217,11 +263,7 @@ mod tests {
     fn integrity_traffic_is_small_fraction() {
         let mut e = GuardNnEngine::confidentiality_and_integrity(256 << 20);
         let blocks = 100_000u64;
-        let mut meta_bytes = 0u64;
-        for b in 0..blocks {
-            meta_bytes +=
-                e.on_access(b * 64, false, StreamClass::FeatureRead).len() as u64 * BLOCK_BYTES;
-        }
+        let mut meta_bytes = range(&mut e, 0..blocks, false).len() as u64 * BLOCK_BYTES;
         meta_bytes += e.flush().len() as u64 * BLOCK_BYTES;
         let data_bytes = blocks * BLOCK_BYTES;
         let ratio = meta_bytes as f64 / data_bytes as f64;
@@ -238,12 +280,8 @@ mod tests {
         let mut gnn_meta = 0usize;
         let mut bp_meta = 0usize;
         for b in 0..50_000u64 {
-            gnn_meta += gnn
-                .on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite)
-                .len();
-            bp_meta += bp
-                .on_access(b * 64, b % 3 == 0, StreamClass::FeatureWrite)
-                .len();
+            gnn_meta += range(&mut gnn, b..b + 1, b % 3 == 0).len();
+            bp_meta += range(&mut bp, b..b + 1, b % 3 == 0).len();
         }
         assert!(
             (gnn_meta as f64) < bp_meta as f64 / 5.0,
@@ -268,12 +306,25 @@ mod tests {
         assert_eq!(e.mac_line_addr(511), l0);
         assert_eq!(e.mac_line_addr(4095), l0);
         assert_ne!(e.mac_line_addr(4096), l0);
+        assert_eq!(e.mac_line_span(), 4096);
+    }
+
+    #[test]
+    fn one_mac_line_lookup_per_run() {
+        // Reads of blocks 3..1027 touch 17 MAC lines of 64 blocks each: one
+        // fetch per line, tagged with the line's first block in the range.
+        let mut e = GuardNnEngine::confidentiality_and_integrity(1 << 20);
+        let metas = range(&mut e, 3..1027, false);
+        let tags: Vec<u64> = metas.iter().map(|m| m.block).collect();
+        let expected: Vec<u64> = std::iter::once(3).chain((64..1027).step_by(64)).collect();
+        assert_eq!(tags, expected);
+        assert!(metas.iter().all(|m| !m.meta.write));
     }
 
     #[test]
     fn dirty_mac_lines_flushed() {
         let mut e = GuardNnEngine::confidentiality_and_integrity(1 << 20);
-        e.on_access(0, true, StreamClass::FeatureWrite);
+        range(&mut e, 0..1, true);
         let flushed = e.flush();
         assert_eq!(flushed.len(), 1);
         assert!(flushed[0].write);

@@ -4,26 +4,28 @@
 //! metadata accesses into the DDR4 model, and produces the quantities the
 //! paper reports: memory-traffic increase and normalized execution time.
 //!
-//! Two drivers share the same accounting rules and are pinned bit-identical
-//! by differential tests:
+//! One driver pulls [`TraceItem`]s and issues them into a [`DramSink`]: it
+//! splits each event into block ranges of at most 1,024 blocks, hands each
+//! range to [`ProtectionEngine::on_range`], and issues the data blocks with
+//! the engine's tagged metadata placed behind the block each access
+//! follows (reads inline, writes coalesced into sorted batches). Two entry
+//! points feed it:
 //!
-//! * [`run_protected`] — the materialized oracle: consumes a fully built
-//!   [`PlanTrace`] slice.
-//! * [`run_protected_streaming`] — the production path: pulls a
-//!   [`TraceSource`] (e.g. [`guardnn_systolic::TraceStream`]) through a
-//!   [`ProtectedStream`] adapter that interleaves the engine's metadata
-//!   accesses into the event stream, and ingests the result into the DDR4
-//!   model — optionally with one worker thread per DRAM channel
-//!   ([`ChannelMode::Threaded`]). Peak memory is O(1) in the trace length.
+//! * [`run_protected_streaming`] (and its `_observed` / `_into` variants)
+//!   — the production path: pulls a [`TraceSource`] (e.g.
+//!   [`guardnn_systolic::TraceStream`]) into the DDR4 model, optionally
+//!   with one worker thread per DRAM channel ([`ChannelMode::Threaded`]).
+//!   Peak memory is O(1) in the trace length.
+//! * [`run_protected`] — the materialized oracle: replays a fully built
+//!   [`PlanTrace`], pinned bit-identical to the streaming path by
+//!   differential tests.
 
-use crate::{MetaAccess, ProtectionEngine, BLOCK_BYTES};
+use crate::{MetaAccess, ProtectionEngine, TaggedMeta, BLOCK_BYTES};
 use guardnn_dram::{
     with_channel_workers_observed, ChannelMode, DramConfig, DramSink, DramStats, DramSystem,
 };
 use guardnn_obs::Recorder;
-use guardnn_systolic::trace::PassPerf;
-use guardnn_systolic::{PlanTrace, TraceItem, TraceSource};
-use std::collections::VecDeque;
+use guardnn_systolic::{MemEvent, PlanTrace, TraceItem, TraceSource};
 
 /// Result of one protected run.
 #[derive(Clone, Debug)]
@@ -70,44 +72,224 @@ impl RunSummary {
 /// turnaround per line.
 const META_WRITE_BATCH: usize = 32;
 
-/// Issues the engine's metadata accesses: reads go to DRAM immediately
-/// (they gate decryption), writes are coalesced into sorted batches.
-fn issue_meta<S: DramSink>(
-    dram: &mut S,
-    metas: &[MetaAccess],
-    meta_bytes: &mut u64,
-    pending_writes: &mut Vec<u64>,
-) {
-    for m in metas {
-        *meta_bytes += BLOCK_BYTES;
+/// Most data blocks the driver hands an engine in one
+/// [`ProtectionEngine::on_range`] call: longer events are split, so the
+/// tagged-metadata buffer stays O(1) in the event length.
+const RANGE_BLOCKS: u64 = 1024;
+
+/// Requests issued so far, by kind.
+#[derive(Clone, Copy, Debug, Default)]
+struct Issued {
+    data: u64,
+    meta_reads: u64,
+    meta_writes: u64,
+}
+
+impl Issued {
+    /// The requests issued since `mark`; moves `mark` up to `self`.
+    fn since(self, mark: &mut Issued) -> Issued {
+        let delta = Issued {
+            data: self.data - mark.data,
+            meta_reads: self.meta_reads - mark.meta_reads,
+            meta_writes: self.meta_writes - mark.meta_writes,
+        };
+        *mark = self;
+        delta
+    }
+
+    fn export(self, rec: &Recorder) {
+        rec.add("memprot.blocks_data", self.data);
+        rec.add("memprot.meta_reads", self.meta_reads);
+        rec.add("memprot.meta_writes", self.meta_writes);
+    }
+}
+
+/// Issues a protected access stream into a DRAM sink, in the order the
+/// per-block model defines: each data block, then the metadata the engine
+/// tagged with it — reads inline (they gate decryption), writes coalesced
+/// into sorted [`META_WRITE_BATCH`]-entry batches.
+struct Issuer<'a, S> {
+    engine: &'a mut dyn ProtectionEngine,
+    dram: &'a mut S,
+    /// The engine's tagged metadata for the range being issued (reused,
+    /// so at most one range's worth).
+    metas: Vec<TaggedMeta>,
+    pending_writes: Vec<u64>,
+    issued: Issued,
+}
+
+impl<S: DramSink> Issuer<'_, S> {
+    fn event(&mut self, ev: MemEvent) {
+        let end = (ev.addr + ev.bytes).div_ceil(BLOCK_BYTES);
+        let mut block = ev.addr / BLOCK_BYTES;
+        while block < end {
+            let range_end = end.min(block + RANGE_BLOCKS);
+            self.metas.clear();
+            self.engine
+                .on_range(block..range_end, ev.write, &mut self.metas);
+            self.issued.data += range_end - block;
+            for i in 0..self.metas.len() {
+                let TaggedMeta { block: tag, meta } = self.metas[i];
+                for b in block..=tag {
+                    self.dram.access(b * BLOCK_BYTES, ev.write);
+                }
+                block = tag + 1;
+                self.meta(meta);
+            }
+            for b in block..range_end {
+                self.dram.access(b * BLOCK_BYTES, ev.write);
+            }
+            block = range_end;
+        }
+    }
+
+    fn meta(&mut self, m: MetaAccess) {
         if m.write {
-            pending_writes.push(m.addr);
-            if pending_writes.len() >= META_WRITE_BATCH {
-                drain_writes(dram, pending_writes);
+            self.issued.meta_writes += 1;
+            self.pending_writes.push(m.addr);
+            if self.pending_writes.len() >= META_WRITE_BATCH {
+                self.drain_writes();
             }
         } else {
-            dram.access(m.addr, false);
+            self.issued.meta_reads += 1;
+            self.dram.access(m.addr, false);
+        }
+    }
+
+    /// Drains the buffered metadata write-backs in address order.
+    fn drain_writes(&mut self) {
+        self.pending_writes.sort_unstable();
+        for addr in self.pending_writes.drain(..) {
+            self.dram.access(addr, true);
         }
     }
 }
 
-/// Drains the buffered metadata write-backs in address order.
-fn drain_writes<S: DramSink>(dram: &mut S, pending_writes: &mut Vec<u64>) {
-    pending_writes.sort_unstable();
-    for addr in pending_writes.drain(..) {
-        dram.access(addr, true);
+/// The driver behind every entry point: runs `trace` under `engine` into
+/// `dram`, with the accelerator clocked at `accel_mhz`.
+///
+/// Each pass overlaps compute with memory (double buffering): its wall time
+/// is the max of its compute time and its share of DRAM time, checkpointed
+/// at every pass boundary, where the metadata write buffer drains too. The
+/// engine's end-of-run flush follows the last pass. With an enabled `rec`
+/// the driver reports per-pass protection traffic. The returned summary's
+/// `trace_buffer_bytes` is left 0 for the caller to fill in.
+fn drive<I: Iterator<Item = TraceItem>, S: DramSink>(
+    trace: I,
+    engine: &mut dyn ProtectionEngine,
+    dram: &mut S,
+    dram_cfg: DramConfig,
+    accel_mhz: u64,
+    rec: &Recorder,
+) -> RunSummary {
+    let scheme = engine.name();
+    let mut io = Issuer {
+        engine,
+        dram,
+        metas: Vec::new(),
+        pending_writes: Vec::with_capacity(META_WRITE_BATCH),
+        issued: Issued::default(),
+    };
+    let mut compute_cycles = 0u64;
+    let mut exec_ns = 0.0f64;
+    let mut prev_cycles = 0u64;
+    let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
+    let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
+    // Per-pass protection traffic is exported (counters + one journal
+    // event) only at pass boundaries and only when observed.
+    let observe = rec.is_enabled();
+    let mut at_boundary = Issued::default();
+    // Whether `on_pass_begin` has run for the pass in progress.
+    let mut pass_started = false;
+
+    for item in trace {
+        match item {
+            TraceItem::Event(ev) => {
+                if !pass_started {
+                    io.engine.on_pass_begin();
+                    pass_started = true;
+                }
+                io.event(ev);
+            }
+            TraceItem::PassEnd { pass, perf } => {
+                // An empty pass still begins (engines advance per-pass
+                // counters in `on_pass_begin`).
+                if !pass_started {
+                    io.engine.on_pass_begin();
+                }
+                pass_started = false;
+                io.drain_writes();
+                let stats = io.dram.drain_stats();
+                let mem_cycles = stats.total_cycles - prev_cycles;
+                prev_cycles = stats.total_cycles;
+                let mem_ns = mem_cycles as f64 * dram_ns_per_cycle;
+                let compute_ns = perf.compute_cycles as f64 * accel_ns_per_cycle;
+                exec_ns += mem_ns.max(compute_ns);
+                compute_cycles += perf.compute_cycles;
+                if observe {
+                    let delta = io.issued.since(&mut at_boundary);
+                    delta.export(rec);
+                    rec.event(
+                        "memprot.pass",
+                        &[
+                            ("pass", &pass.to_string()),
+                            ("data_blocks", &delta.data.to_string()),
+                            ("meta_reads", &delta.meta_reads.to_string()),
+                            ("meta_writes", &delta.meta_writes.to_string()),
+                            ("mem_cycles", &mem_cycles.to_string()),
+                        ],
+                    );
+                }
+            }
+        }
+    }
+
+    // End-of-run tail: the engine's flushed write-backs.
+    for m in io.engine.flush() {
+        io.meta(m);
+    }
+    io.drain_writes();
+    let stats = io.dram.drain_stats();
+    exec_ns += (stats.total_cycles - prev_cycles) as f64 * dram_ns_per_cycle;
+    if observe {
+        io.issued.since(&mut at_boundary).export(rec);
+    }
+    let Issued {
+        data,
+        meta_reads,
+        meta_writes,
+    } = io.issued;
+    RunSummary {
+        scheme,
+        data_bytes: data * BLOCK_BYTES,
+        meta_bytes: (meta_reads + meta_writes) * BLOCK_BYTES,
+        dram: stats,
+        compute_cycles,
+        exec_ns,
+        trace_buffer_bytes: 0,
     }
 }
 
+/// A materialized trace as the item sequence a [`TraceSource`] yields:
+/// each pass's events, then its boundary.
+fn plan_items(trace: &PlanTrace) -> impl Iterator<Item = TraceItem> + '_ {
+    let events = trace.events();
+    trace
+        .passes()
+        .iter()
+        .enumerate()
+        .flat_map(move |(pass, &perf)| {
+            let first = events.partition_point(|e| e.pass < pass);
+            let last = events.partition_point(|e| e.pass <= pass);
+            events[first..last]
+                .iter()
+                .map(|&ev| TraceItem::Event(ev))
+                .chain(std::iter::once(TraceItem::PassEnd { pass, perf }))
+        })
+}
+
 /// Runs `trace` under `engine` against the DDR4 model `dram_cfg`, with the
-/// accelerator clocked at `accel_mhz`.
-///
-/// Each pass overlaps compute with memory (double buffering): its wall time
-/// is the max of its compute time and its share of DRAM time. Metadata
-/// *reads* (VN / tree / MAC fetches gate decryption) are interleaved with
-/// the data stream at block granularity; metadata *writes* (dirty
-/// evictions) are coalesced into batches, as a write-draining memory
-/// controller would.
+/// accelerator clocked at `accel_mhz` (timing rules: see the module docs).
 ///
 /// This is the materialized differential oracle for
 /// [`run_protected_streaming`], which produces bit-identical results
@@ -119,315 +301,27 @@ pub fn run_protected(
     accel_mhz: u64,
 ) -> RunSummary {
     let mut dram = DramSystem::new(dram_cfg);
-    let mut data_bytes = 0u64;
-    let mut meta_bytes = 0u64;
-    let mut exec_ns = 0.0f64;
-    let mut prev_cycles = 0u64;
-    let mut event_idx = 0usize;
-    let mut pending_writes: Vec<u64> = Vec::with_capacity(META_WRITE_BATCH);
-
-    let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
-    let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
-
-    for (pass_idx, pass_perf) in trace.passes().iter().enumerate() {
-        engine.on_pass_begin();
-        while event_idx < trace.events().len() && trace.events()[event_idx].pass == pass_idx {
-            let ev = trace.events()[event_idx];
-            let start_block = ev.addr / BLOCK_BYTES;
-            let end_block = (ev.addr + ev.bytes).div_ceil(BLOCK_BYTES);
-            for block in start_block..end_block {
-                let addr = block * BLOCK_BYTES;
-                dram.access(addr, ev.write);
-                data_bytes += BLOCK_BYTES;
-                let metas = engine.on_access(addr, ev.write, ev.stream.into());
-                issue_meta(&mut dram, &metas, &mut meta_bytes, &mut pending_writes);
-            }
-            event_idx += 1;
-        }
-        // Close out the pass: drain writes, checkpoint DRAM time.
-        drain_writes(&mut dram, &mut pending_writes);
-        let stats = dram.drain_stats();
-        let mem_cycles = stats.total_cycles - prev_cycles;
-        prev_cycles = stats.total_cycles;
-        let mem_ns = mem_cycles as f64 * dram_ns_per_cycle;
-        let compute_ns = pass_perf.compute_cycles as f64 * accel_ns_per_cycle;
-        exec_ns += mem_ns.max(compute_ns);
-    }
-
-    // End-of-run metadata write-back.
-    let metas = engine.flush();
-    issue_meta(&mut dram, &metas, &mut meta_bytes, &mut pending_writes);
-    drain_writes(&mut dram, &mut pending_writes);
-    let stats = dram.drain_stats();
-    exec_ns += (stats.total_cycles - prev_cycles) as f64 * dram_ns_per_cycle;
-    let merged = stats;
-
+    let summary = drive(
+        plan_items(trace),
+        engine,
+        &mut dram,
+        dram_cfg,
+        accel_mhz,
+        &Recorder::disabled(),
+    );
     RunSummary {
-        scheme: engine.name(),
-        data_bytes,
-        meta_bytes,
-        dram: merged,
-        compute_cycles: trace.total_compute_cycles(),
-        exec_ns,
         trace_buffer_bytes: trace.buffer_bytes(),
-    }
-}
-
-/// One item of a protected access stream: a data block, a metadata access
-/// the engine interleaved, or a pass boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtectedItem {
-    /// A 64-byte data-block access of the accelerator.
-    Data {
-        /// Block-aligned address.
-        addr: u64,
-        /// Write (true) or read (false).
-        write: bool,
-    },
-    /// A metadata access the protection engine added.
-    Meta {
-        /// Metadata address.
-        addr: u64,
-        /// Write (true) or read (false).
-        write: bool,
-    },
-    /// All accesses of pass `pass` have been yielded.
-    PassEnd {
-        /// Index of the completed pass.
-        pass: usize,
-        /// The pass's performance record.
-        perf: PassPerf,
-    },
-}
-
-/// Iterator adapter that pulls a trace stream *through* a protection
-/// engine: every event is expanded into 64-byte block accesses, the
-/// engine's metadata accesses are interleaved behind each block (reads
-/// inline, writes coalesced into sorted 32-entry batches), pass
-/// boundaries drain the write buffer, and the engine's
-/// end-of-run [`ProtectionEngine::flush`] is appended after the source is
-/// exhausted. This is how the streaming pipeline protects a trace without
-/// ever seeing it as a slice; its output access order is bit-identical to
-/// what [`run_protected`] issues.
-pub struct ProtectedStream<'e, I> {
-    inner: I,
-    engine: &'e mut dyn ProtectionEngine,
-    /// Items ready to yield (metadata behind the current block, drained
-    /// write batches, pass boundaries). Bounded by one write batch plus a
-    /// few per-block metadata accesses — O(1).
-    queue: VecDeque<ProtectedItem>,
-    /// Remaining blocks of the event being expanded.
-    blocks: std::ops::Range<u64>,
-    write: bool,
-    stream: crate::StreamClass,
-    pending_writes: Vec<u64>,
-    /// Whether `on_pass_begin` has run for the pass in progress.
-    pass_started: bool,
-    /// Whether the end-of-run flush has been appended.
-    flushed: bool,
-}
-
-impl<'e, I: TraceSource> ProtectedStream<'e, I> {
-    /// Wraps `inner`, interleaving `engine`'s metadata accesses.
-    pub fn new(inner: I, engine: &'e mut dyn ProtectionEngine) -> Self {
-        Self {
-            inner,
-            engine,
-            queue: VecDeque::new(),
-            blocks: 0..0,
-            write: false,
-            stream: crate::StreamClass::FeatureRead,
-            pending_writes: Vec::with_capacity(META_WRITE_BATCH),
-            pass_started: false,
-            flushed: false,
-        }
-    }
-
-    /// Peak bytes of trace data the underlying source buffers.
-    pub fn source_buffer_bytes(&self) -> u64 {
-        self.inner.buffer_bytes()
-    }
-
-    fn enqueue_metas(&mut self, metas: Vec<MetaAccess>) {
-        for m in metas {
-            if m.write {
-                self.pending_writes.push(m.addr);
-                if self.pending_writes.len() >= META_WRITE_BATCH {
-                    self.drain_pending();
-                }
-            } else {
-                self.queue.push_back(ProtectedItem::Meta {
-                    addr: m.addr,
-                    write: false,
-                });
-            }
-        }
-    }
-
-    fn drain_pending(&mut self) {
-        self.pending_writes.sort_unstable();
-        for addr in self.pending_writes.drain(..) {
-            self.queue
-                .push_back(ProtectedItem::Meta { addr, write: true });
-        }
-    }
-}
-
-impl<I: TraceSource> Iterator for ProtectedStream<'_, I> {
-    type Item = ProtectedItem;
-
-    fn next(&mut self) -> Option<ProtectedItem> {
-        loop {
-            if let Some(item) = self.queue.pop_front() {
-                return Some(item);
-            }
-            if let Some(block) = self.blocks.next() {
-                let addr = block * BLOCK_BYTES;
-                let metas = self.engine.on_access(addr, self.write, self.stream);
-                self.enqueue_metas(metas);
-                return Some(ProtectedItem::Data {
-                    addr,
-                    write: self.write,
-                });
-            }
-            match self.inner.next() {
-                Some(TraceItem::Event(ev)) => {
-                    if !self.pass_started {
-                        self.engine.on_pass_begin();
-                        self.pass_started = true;
-                    }
-                    self.blocks =
-                        (ev.addr / BLOCK_BYTES)..(ev.addr + ev.bytes).div_ceil(BLOCK_BYTES);
-                    self.write = ev.write;
-                    self.stream = ev.stream.into();
-                }
-                Some(TraceItem::PassEnd { pass, perf }) => {
-                    // An empty pass still begins (engines advance per-pass
-                    // counters in `on_pass_begin`).
-                    if !self.pass_started {
-                        self.engine.on_pass_begin();
-                    }
-                    self.pass_started = false;
-                    self.drain_pending();
-                    self.queue.push_back(ProtectedItem::PassEnd { pass, perf });
-                }
-                None => {
-                    if self.flushed {
-                        return None;
-                    }
-                    self.flushed = true;
-                    let metas = self.engine.flush();
-                    self.enqueue_metas(metas);
-                    self.drain_pending();
-                }
-            }
-        }
-    }
-}
-
-/// Accumulated outcome of ingesting a protected stream into a DRAM sink.
-struct IngestOutcome {
-    data_bytes: u64,
-    meta_bytes: u64,
-    compute_cycles: u64,
-    exec_ns: f64,
-    dram: DramStats,
-}
-
-/// Feeds a protected access stream into `dram`, checkpointing DRAM time at
-/// every pass boundary (the same per-pass `max(compute, memory)` timing as
-/// [`run_protected`]).
-fn ingest<S: DramSink>(
-    protected: &mut dyn Iterator<Item = ProtectedItem>,
-    dram: &mut S,
-    dram_cfg: DramConfig,
-    accel_mhz: u64,
-    rec: &Recorder,
-) -> IngestOutcome {
-    let mut data_bytes = 0u64;
-    let mut meta_bytes = 0u64;
-    let mut compute_cycles = 0u64;
-    let mut exec_ns = 0.0f64;
-    let mut prev_cycles = 0u64;
-    let dram_ns_per_cycle = 1e3 / dram_cfg.clock_mhz as f64;
-    let accel_ns_per_cycle = 1e3 / accel_mhz as f64;
-    // Pass-local protection-traffic tallies: plain adds on the hot path,
-    // exported (counters + one journal event) only at pass boundaries
-    // and only when the recorder is enabled.
-    let observe = rec.is_enabled();
-    let mut pass_data = 0u64;
-    let mut pass_meta_reads = 0u64;
-    let mut pass_meta_writes = 0u64;
-
-    for item in protected {
-        match item {
-            ProtectedItem::Data { addr, write } => {
-                dram.access(addr, write);
-                data_bytes += BLOCK_BYTES;
-                pass_data += 1;
-            }
-            ProtectedItem::Meta { addr, write } => {
-                dram.access(addr, write);
-                meta_bytes += BLOCK_BYTES;
-                if write {
-                    pass_meta_writes += 1;
-                } else {
-                    pass_meta_reads += 1;
-                }
-            }
-            ProtectedItem::PassEnd { pass, perf } => {
-                let stats = dram.drain_stats();
-                let mem_cycles = stats.total_cycles - prev_cycles;
-                prev_cycles = stats.total_cycles;
-                let mem_ns = mem_cycles as f64 * dram_ns_per_cycle;
-                let compute_ns = perf.compute_cycles as f64 * accel_ns_per_cycle;
-                exec_ns += mem_ns.max(compute_ns);
-                compute_cycles += perf.compute_cycles;
-                if observe {
-                    rec.add("memprot.blocks_data", pass_data);
-                    rec.add("memprot.meta_reads", pass_meta_reads);
-                    rec.add("memprot.meta_writes", pass_meta_writes);
-                    rec.event(
-                        "memprot.pass",
-                        &[
-                            ("pass", &pass.to_string()),
-                            ("data_blocks", &pass_data.to_string()),
-                            ("meta_reads", &pass_meta_reads.to_string()),
-                            ("meta_writes", &pass_meta_writes.to_string()),
-                            ("mem_cycles", &mem_cycles.to_string()),
-                        ],
-                    );
-                }
-                pass_data = 0;
-                pass_meta_reads = 0;
-                pass_meta_writes = 0;
-            }
-        }
-    }
-    // End-of-run tail: the engine's flushed write-backs.
-    let stats = dram.drain_stats();
-    exec_ns += (stats.total_cycles - prev_cycles) as f64 * dram_ns_per_cycle;
-    if observe {
-        rec.add("memprot.blocks_data", pass_data);
-        rec.add("memprot.meta_reads", pass_meta_reads);
-        rec.add("memprot.meta_writes", pass_meta_writes);
-    }
-    IngestOutcome {
-        data_bytes,
-        meta_bytes,
-        compute_cycles,
-        exec_ns,
-        dram: stats,
+        ..summary
     }
 }
 
 /// Streaming counterpart of [`run_protected`]: pulls `trace` through
 /// `engine` into the DDR4 model without materializing anything — peak
-/// memory is the generator's constant-size state plus one metadata write
-/// batch. With [`ChannelMode::Threaded`] the independent DRAM channels are
-/// simulated on one scoped worker thread each, fed by bounded per-channel
-/// demux queues. Results are bit-identical to [`run_protected`] on the
-/// same trace in either mode.
+/// memory is the generator's constant-size state plus one range's
+/// metadata and one metadata write batch. With [`ChannelMode::Threaded`]
+/// the independent DRAM channels are simulated on one scoped worker thread
+/// each, fed by bounded per-channel demux queues. Results are
+/// bit-identical to [`run_protected`] on the same trace in either mode.
 pub fn run_protected_streaming<I: TraceSource>(
     trace: I,
     engine: &mut dyn ProtectionEngine,
@@ -490,24 +384,17 @@ pub fn run_protected_streaming_into<I: TraceSource, S: DramSink>(
 
 /// Shared body of the streaming entry points above.
 fn stream_into<I: TraceSource, S: DramSink>(
-    trace: I,
+    mut trace: I,
     engine: &mut dyn ProtectionEngine,
     dram: &mut S,
     dram_cfg: DramConfig,
     accel_mhz: u64,
     rec: &Recorder,
 ) -> RunSummary {
-    let scheme = engine.name();
-    let mut protected = ProtectedStream::new(trace, engine);
-    let outcome = ingest(&mut protected, dram, dram_cfg, accel_mhz, rec);
+    let summary = drive(&mut trace, engine, dram, dram_cfg, accel_mhz, rec);
     RunSummary {
-        scheme,
-        data_bytes: outcome.data_bytes,
-        meta_bytes: outcome.meta_bytes,
-        dram: outcome.dram,
-        compute_cycles: outcome.compute_cycles,
-        exec_ns: outcome.exec_ns,
-        trace_buffer_bytes: protected.source_buffer_bytes(),
+        trace_buffer_bytes: trace.buffer_bytes(),
+        ..summary
     }
 }
 
@@ -659,35 +546,138 @@ mod tests {
         assert!(materialized.trace_buffer_bytes > streamed.trace_buffer_bytes);
     }
 
+    /// A sink that logs every request, and the log length at every
+    /// `drain_stats`, before forwarding to a DRAM model.
+    struct Recording {
+        dram: DramSystem,
+        log: Vec<(u64, bool)>,
+        drains: Vec<usize>,
+    }
+
+    impl Recording {
+        fn new(cfg: DramConfig) -> Self {
+            Self {
+                dram: DramSystem::new(cfg),
+                log: Vec::new(),
+                drains: Vec::new(),
+            }
+        }
+    }
+
+    impl DramSink for Recording {
+        fn access(&mut self, addr: u64, is_write: bool) {
+            self.log.push((addr, is_write));
+            self.dram.access(addr, is_write);
+        }
+
+        fn drain_stats(&mut self) -> DramStats {
+            self.drains.push(self.log.len());
+            self.dram.drain_stats()
+        }
+    }
+
+    /// The request order of the per-block model, built from the reference
+    /// engine: each data block, then its metadata — reads inline, writes in
+    /// sorted batches of 32 drained at every pass end — and the flushed
+    /// write-backs after the last pass.
+    fn per_block_requests(trace: &PlanTrace, engine: &mut BaselineMee) -> Recording {
+        use crate::reference::PerBlock;
+        fn meta(m: MetaAccess, log: &mut Vec<(u64, bool)>, pending: &mut Vec<u64>) {
+            if m.write {
+                pending.push(m.addr);
+                if pending.len() == META_WRITE_BATCH {
+                    drain(log, pending);
+                }
+            } else {
+                log.push((m.addr, false));
+            }
+        }
+        fn drain(log: &mut Vec<(u64, bool)>, pending: &mut Vec<u64>) {
+            pending.sort_unstable();
+            log.extend(pending.drain(..).map(|addr| (addr, true)));
+        }
+        let mut out = Recording::new(DramConfig::ddr4_2400_16gb());
+        let mut pending = Vec::new();
+        for pass in 0..trace.passes().len() {
+            engine.on_pass_begin();
+            for ev in trace.events().iter().filter(|e| e.pass == pass) {
+                for block in ev.addr / BLOCK_BYTES..(ev.addr + ev.bytes).div_ceil(BLOCK_BYTES) {
+                    out.log.push((block * BLOCK_BYTES, ev.write));
+                    for m in engine.access_block(block * BLOCK_BYTES, ev.write) {
+                        meta(m, &mut out.log, &mut pending);
+                    }
+                }
+            }
+            drain(&mut out.log, &mut pending);
+            out.drains.push(out.log.len());
+        }
+        for m in engine.flush() {
+            meta(m, &mut out.log, &mut pending);
+        }
+        drain(&mut out.log, &mut pending);
+        out.drains.push(out.log.len());
+        out
+    }
+
     #[test]
-    fn protected_stream_interleaves_meta_behind_data() {
-        // BP fetches metadata for every block; the adapter must yield the
-        // data access first, its metadata behind it, and a PassEnd per
-        // pass.
-        let net = Network::new("t", vec![fc("f1", 1, 64, 32)]);
-        let plan = ExecutionPlan::inference(&net);
+    fn request_order_matches_per_block_model() {
+        let net = small_net();
+        let plan = ExecutionPlan::training(&net, 2);
         let tb = TraceBuilder::new(ArrayConfig::test_small(), &plan);
-        let mut engine = BaselineMee::with_defaults(1 << 30);
-        let items: Vec<ProtectedItem> =
-            ProtectedStream::new(tb.stream(&plan), &mut engine).collect();
-        assert!(matches!(items[0], ProtectedItem::Data { .. }));
-        assert!(items
-            .iter()
-            .any(|i| matches!(i, ProtectedItem::Meta { .. })));
-        let boundaries = items
-            .iter()
-            .filter(|i| matches!(i, ProtectedItem::PassEnd { .. }))
-            .count();
-        assert_eq!(boundaries, plan.passes().len());
-        // The boundary is last (after the end-of-run flush there are only
-        // metadata write-backs).
-        let last_boundary = items
-            .iter()
-            .rposition(|i| matches!(i, ProtectedItem::PassEnd { .. }))
-            .unwrap();
-        assert!(items[last_boundary..]
-            .iter()
-            .skip(1)
-            .all(|i| matches!(i, ProtectedItem::Meta { write: true, .. })));
+        let trace = tb.build(&plan);
+        let cfg = DramConfig::ddr4_2400_16gb();
+        let footprint = 1u64 << 30;
+
+        let mut streamed = Recording::new(cfg);
+        let summary = run_protected_streaming_into(
+            tb.stream(&plan),
+            &mut BaselineMee::with_defaults(footprint),
+            &mut streamed,
+            cfg,
+            700,
+        );
+        let mut materialized = Recording::new(cfg);
+        drive(
+            plan_items(&trace),
+            &mut BaselineMee::with_defaults(footprint),
+            &mut materialized,
+            cfg,
+            700,
+            &Recorder::disabled(),
+        );
+        let oracle = per_block_requests(&trace, &mut BaselineMee::with_defaults(footprint));
+
+        assert_eq!(streamed.drains.len(), plan.passes().len() + 1);
+        for run in [&streamed, &materialized] {
+            assert!(run.log == oracle.log, "request order diverged");
+            assert_eq!(run.drains, oracle.drains, "pass boundaries moved");
+        }
+        // The run ends with the flushed write-backs.
+        let tail = &streamed.log[streamed.drains[plan.passes().len() - 1]..];
+        assert!(!tail.is_empty() && tail.iter().all(|&(_, write)| write));
+        assert_eq!(
+            streamed.log.len() as u64 * BLOCK_BYTES,
+            summary.data_bytes + summary.meta_bytes
+        );
+
+        // The observed run's per-pass counters add up to the summary.
+        let rec = Recorder::enabled();
+        let observed = run_protected_streaming_observed(
+            tb.stream(&plan),
+            &mut BaselineMee::with_defaults(footprint),
+            cfg,
+            700,
+            ChannelMode::Serial,
+            rec.clone(),
+        );
+        assert_identical(&summary, &observed);
+        let counters = rec.snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0) * BLOCK_BYTES;
+        assert_eq!(count("memprot.blocks_data"), summary.data_bytes);
+        assert_eq!(
+            count("memprot.meta_reads") + count("memprot.meta_writes"),
+            summary.meta_bytes
+        );
+        assert!(count("memprot.meta_writes") > 0);
     }
 }

@@ -5,8 +5,10 @@
 //! it is compared against, in two complementary forms:
 //!
 //! **Performance models** (trait [`ProtectionEngine`]): given the data-access
-//! stream of an accelerator run, each engine emits the *additional* metadata
-//! accesses (version numbers, MACs, integrity-tree nodes) its scheme needs.
+//! stream of an accelerator run as 64-byte block ranges, each engine emits
+//! the *additional* metadata accesses (version numbers, MACs,
+//! integrity-tree nodes) its scheme needs, each tagged with the data block
+//! it follows.
 //! Feeding data + metadata into the DDR4 simulator yields the execution-time
 //! overheads of Figure 3 and the traffic numbers of §III-C.
 //!
@@ -33,13 +35,13 @@
 //!
 //! let mut bp = BaselineMee::with_defaults(0x1000_0000);
 //! let mut gnn = GuardNnEngine::confidentiality_and_integrity(0x1000_0000);
-//! // Stream 1 MiB of feature writes through both engines.
-//! let (mut bp_meta, mut gnn_meta) = (0u64, 0u64);
-//! for block in 0..(1 << 20) / 64u64 {
-//!     bp_meta += bp.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite).len() as u64;
-//!     gnn_meta += gnn.on_access(block * 64, true, guardnn_memprot::StreamClass::FeatureWrite).len() as u64;
-//! }
-//! assert!(gnn_meta < bp_meta / 4, "GuardNN must move far less metadata");
+//! // Stream 1 MiB of feature writes (16,384 64-B blocks) through both
+//! // engines, one call each.
+//! let blocks = 0..(1 << 20) / 64u64;
+//! let (mut bp_meta, mut gnn_meta) = (Vec::new(), Vec::new());
+//! bp.on_range(blocks.clone(), true, &mut bp_meta);
+//! gnn.on_range(blocks, true, &mut gnn_meta);
+//! assert!(gnn_meta.len() < bp_meta.len() / 4, "GuardNN must move far less metadata");
 //! ```
 
 #![deny(missing_docs)]
@@ -50,39 +52,18 @@ pub mod functional;
 pub mod guardnn;
 pub mod harness;
 pub mod none;
+#[cfg(test)]
+mod reference;
 pub mod vn;
 
 pub use baseline::BaselineMee;
 pub use guardnn::GuardNnEngine;
 pub use none::NoProtection;
 
+use std::ops::Range;
+
 /// Data block size all engines operate on (one DRAM burst).
 pub const BLOCK_BYTES: u64 = 64;
-
-/// Operand-stream class of a data access, mirrored from the systolic trace
-/// (the engines must not depend on trace internals).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StreamClass {
-    /// Weight read.
-    WeightRead,
-    /// Weight write (training update).
-    WeightWrite,
-    /// Feature / gradient read.
-    FeatureRead,
-    /// Feature / gradient write.
-    FeatureWrite,
-}
-
-impl From<guardnn_systolic::Stream> for StreamClass {
-    fn from(s: guardnn_systolic::Stream) -> Self {
-        match s {
-            guardnn_systolic::Stream::WeightRead => Self::WeightRead,
-            guardnn_systolic::Stream::WeightWrite => Self::WeightWrite,
-            guardnn_systolic::Stream::FeatureRead => Self::FeatureRead,
-            guardnn_systolic::Stream::FeatureWrite => Self::FeatureWrite,
-        }
-    }
-}
 
 /// One metadata DRAM access generated by a protection engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +74,31 @@ pub struct MetaAccess {
     pub write: bool,
 }
 
+/// A metadata access tagged with the data block it follows: the driver
+/// issues it right behind that block's DRAM request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaggedMeta {
+    /// Index of the data block (address / [`BLOCK_BYTES`]).
+    pub block: u64,
+    /// The metadata access.
+    pub meta: MetaAccess,
+}
+
+impl TaggedMeta {
+    fn new(block: u64, addr: u64, write: bool) -> Self {
+        Self {
+            block,
+            meta: MetaAccess { addr, write },
+        }
+    }
+}
+
 /// A memory-protection scheme's performance model.
 ///
-/// Engines receive every 64-byte data-block access the accelerator makes
-/// and return the metadata accesses the scheme adds. Engines with
-/// write-back caches emit the remaining dirty lines from
-/// [`ProtectionEngine::flush`].
+/// The accelerator's access pattern is static, so engines see it as block
+/// ranges, one trace event (or a piece of one) per call, and append the
+/// metadata accesses the scheme adds. Engines with write-back caches emit
+/// the remaining dirty lines from [`ProtectionEngine::flush`].
 pub trait ProtectionEngine {
     /// Scheme name for reports (e.g. `"BP"`, `"GuardNN_CI"`).
     fn name(&self) -> &'static str;
@@ -111,38 +111,16 @@ pub trait ProtectionEngine {
     /// can advance their on-chip counters (`CTR_F,W` et al.).
     fn on_pass_begin(&mut self) {}
 
-    /// Processes one 64-byte data-block access; returns metadata accesses.
-    fn on_access(&mut self, block_addr: u64, write: bool, stream: StreamClass) -> Vec<MetaAccess>;
+    /// Processes accesses to the 64-byte data blocks `blocks` (block
+    /// indices), in ascending order, all reads or all writes. Appends to
+    /// `out` each metadata access the scheme adds, tagged with the block
+    /// it follows, in issue order. Splitting a range into sub-ranges
+    /// yields the same accesses.
+    fn on_range(&mut self, blocks: Range<u64>, write: bool, out: &mut Vec<TaggedMeta>);
 
     /// Flushes dirty cached metadata at the end of a run.
     fn flush(&mut self) -> Vec<MetaAccess> {
         Vec::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stream_class_conversion() {
-        use guardnn_systolic::Stream;
-        assert_eq!(
-            StreamClass::from(Stream::WeightRead),
-            StreamClass::WeightRead
-        );
-        assert_eq!(
-            StreamClass::from(Stream::FeatureWrite),
-            StreamClass::FeatureWrite
-        );
-        assert_eq!(
-            StreamClass::from(Stream::FeatureRead),
-            StreamClass::FeatureRead
-        );
-        assert_eq!(
-            StreamClass::from(Stream::WeightWrite),
-            StreamClass::WeightWrite
-        );
     }
 }
 
@@ -165,7 +143,7 @@ mod engine_trait_tests {
         let mut names = Vec::new();
         for e in engines.iter_mut() {
             e.on_pass_begin();
-            let _ = e.on_access(0, true, StreamClass::FeatureWrite);
+            e.on_range(0..16, true, &mut Vec::new());
             let _ = e.flush();
             names.push(e.name());
         }
@@ -187,21 +165,17 @@ mod engine_trait_tests {
         let data_bytes = 1u64 << 24;
         let mut bp = BaselineMee::with_defaults(data_bytes);
         let mut gnn = GuardNnEngine::confidentiality_and_integrity(data_bytes);
-        for block in (0..data_bytes).step_by(4096) {
-            for m in bp.on_access(block, block % 3 == 0, StreamClass::FeatureWrite) {
-                assert!(
-                    m.addr >= data_bytes,
-                    "BP metadata at {:#x} aliases data",
-                    m.addr
-                );
-            }
-            for m in gnn.on_access(block, block % 3 == 0, StreamClass::FeatureWrite) {
-                assert!(
-                    m.addr >= data_bytes,
-                    "GuardNN metadata at {:#x} aliases data",
-                    m.addr
-                );
-            }
+        let mut metas = Vec::new();
+        for block in (0..data_bytes / BLOCK_BYTES).step_by(64) {
+            bp.on_range(block..block + 1, block % 3 == 0, &mut metas);
+            gnn.on_range(block..block + 1, block % 3 == 0, &mut metas);
+        }
+        for m in metas {
+            assert!(
+                m.meta.addr >= data_bytes,
+                "metadata at {:#x} aliases data",
+                m.meta.addr
+            );
         }
     }
 }

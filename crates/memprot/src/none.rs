@@ -1,6 +1,7 @@
 //! No protection (NP) — the unprotected baseline accelerator.
 
-use crate::{MetaAccess, ProtectionEngine, StreamClass};
+use crate::{ProtectionEngine, TaggedMeta};
+use std::ops::Range;
 
 /// The no-protection reference point: every Figure-3 bar is normalized to
 /// this scheme's execution time.
@@ -23,14 +24,7 @@ impl ProtectionEngine for NoProtection {
         false
     }
 
-    fn on_access(
-        &mut self,
-        _block_addr: u64,
-        _write: bool,
-        _stream: StreamClass,
-    ) -> Vec<MetaAccess> {
-        Vec::new()
-    }
+    fn on_range(&mut self, _blocks: Range<u64>, _write: bool, _out: &mut Vec<TaggedMeta>) {}
 }
 
 #[cfg(test)]
@@ -40,7 +34,9 @@ mod tests {
     #[test]
     fn emits_nothing() {
         let mut np = NoProtection::new();
-        assert!(np.on_access(0, true, StreamClass::FeatureWrite).is_empty());
+        let mut out = Vec::new();
+        np.on_range(0..1 << 20, true, &mut out);
+        assert!(out.is_empty());
         assert!(np.flush().is_empty());
         assert_eq!(np.name(), "NP");
         assert!(!np.protects_integrity());
