@@ -1,22 +1,33 @@
 //! Per-channel command scheduling with an FR-FCFS reordering window.
 //!
-//! The scheduler keeps its window in per-bank pending queues keyed by row
-//! (the open-row index), plus a channel-wide arrival-order deque and an
-//! incrementally maintained count of pending rows that mismatch their
-//! bank's open row. In the common streaming case (every pending request
-//! hits an open row) an FR-FCFS pick is O(1): the mismatch count is zero,
-//! so the oldest request — the front of the arrival deque — is the oldest
-//! hit. Otherwise one pass over the per-bank row queues (O(banks) for
-//! realistic windows) yields the oldest hit, the oldest request, and the
-//! background row-preparation candidate together — instead of the three
-//! O(window) scans plus O(window) removal a flat queue needs per issued
-//! command.
+//! Pending requests sit in a 128-entry ring indexed by arrival
+//! position, and the window itself is a handful of `u128` bitmasks over
+//! that ring: bit `i` of each mask stands for arrival position `base + i`.
+//! `live` marks the unissued requests, `hit` those whose row is their
+//! bank's open row, and one mask per bank marks that bank's requests. Each
+//! FR-FCFS query is then a mask operation plus `trailing_zeros`: the
+//! oldest request is the lowest bit of `live`, the oldest hit the lowest
+//! bit of `hit`, the oldest non-hit (the background row-preparation
+//! candidate) the lowest bit of `live & !hit`, and the victim check ("does
+//! this bank still have pending hits?") is `hit & bank != 0`. When a row
+//! opens, `hit` is recomputed over that bank's members only; a refresh
+//! clears it.
+//!
+//! Every pick is a row hit. When some non-hit is pending, background
+//! preparation either opens the oldest non-hit's row, which makes it a
+//! hit, or is refused because that bank still has pending hits. Either
+//! way a hit exists, so the issue path only computes column timing.
+//!
+//! When arrivals reach the end of the ring, the masks shift down to the
+//! oldest live request; if that request is still at `base` (a non-hit
+//! starved behind younger hits), the live requests are renumbered densely
+//! in arrival order instead. A window of up to [`MAX_SCHED_WINDOW`]
+//! requests leaves a free slot either way.
 
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 use guardnn_obs::Recorder;
-use std::collections::VecDeque;
 
 /// A decoded transaction bound for one channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,70 +42,33 @@ pub struct Request {
     pub is_write: bool,
 }
 
-/// A queued request body; its bank and row are the keys it is filed under.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    /// Global arrival sequence number (FCFS tiebreak).
-    seq: u64,
-    bank_group: usize,
-    is_write: bool,
-}
+/// Ring slots: one bit of a `u128` mask each.
+const SLOTS: usize = u128::BITS as usize;
 
-/// Pending requests for one row of one bank, in arrival order. Row queues
-/// are dropped when drained, so `fifo` is never empty and `front_seq`
-/// (cached to keep the scheduler's scan off the deque allocation) is
-/// always the seq of `fifo.front()`.
-#[derive(Clone, Debug)]
-struct RowQueue {
-    row: u64,
-    /// Seq of `fifo.front()`, cached for the pick/prep scans.
-    front_seq: u64,
-    fifo: VecDeque<Pending>,
-}
+/// The largest FR-FCFS window a channel holds: a full window plus the
+/// request being pushed must fit in the ring.
+pub const MAX_SCHED_WINDOW: usize = SLOTS - 1;
 
-/// One entry of the channel-wide arrival-order deque. Entries picked out
-/// of FCFS order are not removed eagerly; they are pruned lazily (an entry
-/// is stale once its seq has popped past its row queue's front).
-#[derive(Clone, Copy, Debug)]
-struct OrderEntry {
-    seq: u64,
-    bank: usize,
-    row: u64,
-}
-
-/// One memory channel: banks, scheduler queues, shared data bus.
+/// One memory channel: banks, scheduler window, shared data bus.
 #[derive(Clone, Debug)]
 pub struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
-    /// Per-bank pending requests, grouped by row in arrival order. A
-    /// realistic window holds a handful of rows per bank, so the row list
-    /// is a plain vector scanned linearly.
-    pending: Vec<Vec<RowQueue>>,
-    /// Channel-wide arrival order (lazily pruned; see [`OrderEntry`]).
-    order: VecDeque<OrderEntry>,
-    /// Live (unissued) requests across all row queues.
+    /// Pending requests: arrival position `p` lives at `slots[p % SLOTS]`.
+    slots: Box<[Request; SLOTS]>,
+    /// Arrival position of mask bit 0.
+    base: u64,
+    /// Arrival position of the next push (at most `base + SLOTS`).
+    next: u64,
+    /// Unissued requests.
+    live: u128,
+    /// `live.count_ones()`, kept as a count: baseline x86-64 has no
+    /// POPCNT instruction, and the count is read on every push.
     queued: usize,
-    /// Next arrival sequence number.
-    next_seq: u64,
-    /// Per-bank count of row queues whose row is not the bank's open row —
-    /// the requests background row preparation could work on.
-    mismatched: Vec<usize>,
-    /// Per-bank front seq of the row queue matching the bank's open row
-    /// (`u64::MAX` when none): the dense hit index. A bank holds at most
-    /// one such queue, so the oldest pending row hit anywhere is the min
-    /// of this flat array — the victim-blocked FR-FCFS pick reads it
-    /// instead of rescanning every row queue, and `try_prepare`'s victim
-    /// check is a single compare.
-    hit_front: Vec<u64>,
-    /// Sum of `mismatched` across banks; zero means every pending request
-    /// is a row hit and the scheduler can take the O(1) fast path.
-    mismatched_total: usize,
-    /// Cached oldest pending non-hit for background preparation:
-    /// `None` = stale (recompute), `Some(x)` = known answer.
-    mis_cache: Option<Option<(u64, usize, u64)>>,
-    /// Retired row-queue allocations, reused to avoid churn.
-    free_queues: Vec<VecDeque<Pending>>,
+    /// Live requests whose row is their bank's open row.
+    hit: u128,
+    /// Per bank, its live requests.
+    bank_reqs: Vec<u128>,
     /// Current scheduling time (cycle of the last issued column command).
     now: u64,
     /// Cycle at which the data bus becomes free.
@@ -109,8 +83,11 @@ pub struct Channel {
     /// Cycle the most recent write burst left the data bus (tWTR counts
     /// from here, not from the WRITE command).
     last_write_end: u64,
-    /// Recent activate timestamps for the tFAW window.
-    recent_acts: VecDeque<u64>,
+    /// Ring of the last four activates, each as the cycle it leaves the
+    /// tFAW window (activate + tFAW; 0 until four have happened). The
+    /// oldest, at `faw_next`, gates the next activate.
+    faw_release: [u64; 4],
+    faw_next: usize,
     /// Next scheduled refresh.
     next_refresh: u64,
     stats: DramStats,
@@ -171,13 +148,27 @@ impl ChannelObs {
 impl Channel {
     /// Creates an idle channel reporting to the process-global recorder
     /// (a no-op unless observability is enabled) as channel index 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.sched_window` exceeds [`MAX_SCHED_WINDOW`] (target
+    /// validation rejects such windows with a typed error).
     pub fn new(cfg: DramConfig) -> Self {
         Self::with_observer(cfg, Recorder::global().clone(), 0)
     }
 
     /// Creates an idle channel reporting metrics to `recorder` under the
     /// per-channel names `dram.chan{index}.*`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Channel::new`].
     pub fn with_observer(cfg: DramConfig, recorder: Recorder, index: usize) -> Self {
+        assert!(
+            cfg.sched_window <= MAX_SCHED_WINDOW,
+            "sched_window {} exceeds the scheduler's {MAX_SCHED_WINDOW}-request ring",
+            cfg.sched_window
+        );
         let obs = recorder.is_enabled().then(|| {
             Box::new(ChannelObs {
                 rec: recorder,
@@ -187,33 +178,33 @@ impl Channel {
                 hr_name: format!("dram.chan{index}.row_hit_rate"),
             })
         });
-        let banks = vec![Bank::new(); cfg.banks_per_channel()];
-        let pending = vec![Vec::new(); cfg.banks_per_channel()];
-        let mismatched = vec![0; cfg.banks_per_channel()];
-        let hit_front = vec![u64::MAX; cfg.banks_per_channel()];
-        let last_col = vec![None; cfg.bank_groups];
+        let empty = Request {
+            bank: 0,
+            bank_group: 0,
+            row: 0,
+            is_write: false,
+        };
         Self {
             next_refresh: cfg.timing.refi,
-            cfg,
-            banks,
-            pending,
-            order: VecDeque::new(),
+            banks: vec![Bank::new(); cfg.banks_per_channel()],
+            slots: Box::new([empty; SLOTS]),
+            base: 0,
+            next: 0,
+            live: 0,
             queued: 0,
-            next_seq: 0,
-            mismatched,
-            hit_front,
-            mismatched_total: 0,
-            mis_cache: Some(None),
-            free_queues: Vec::new(),
+            hit: 0,
+            bank_reqs: vec![0; cfg.banks_per_channel()],
             now: 0,
             bus_free: 0,
-            last_col,
+            last_col: vec![None; cfg.bank_groups],
             last_col_any: None,
             last_was_write: false,
             last_write_end: 0,
-            recent_acts: VecDeque::new(),
+            faw_release: [0; 4],
+            faw_next: 0,
             stats: DramStats::default(),
             obs,
+            cfg,
         }
     }
 
@@ -221,58 +212,26 @@ impl Channel {
     /// fills.
     #[inline]
     pub fn push(&mut self, req: Request) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let p = Pending {
-            seq,
-            bank_group: req.bank_group,
-            is_write: req.is_write,
-        };
-        let rows = &mut self.pending[req.bank];
-        if let Some(rq) = rows.iter_mut().find(|rq| rq.row == req.row) {
-            rq.fifo.push_back(p);
-        } else {
-            let mut fifo = self.free_queues.pop().unwrap_or_default();
-            fifo.push_back(p);
-            rows.push(RowQueue {
-                row: req.row,
-                front_seq: seq,
-                fifo,
-            });
-            if self.banks[req.bank].open_row() != Some(req.row) {
-                self.mismatched[req.bank] += 1;
-                self.mismatched_total += 1;
-                // A new queue carries the youngest seq, so it only fills an
-                // empty (but valid) preparation cache.
-                if let Some(cached @ None) = &mut self.mis_cache {
-                    *cached = Some((seq, req.bank, req.row));
-                }
-            } else {
-                // At most one queue per row, so this bank had no hit queue
-                // before: the new queue's front is its hit front.
-                self.hit_front[req.bank] = seq;
-            }
+        if self.next - self.base == SLOTS as u64 {
+            self.make_room();
         }
-        self.order.push_back(OrderEntry {
-            seq,
-            bank: req.bank,
-            row: req.row,
-        });
+        let bit = 1u128 << (self.next - self.base);
+        self.slots[self.next as usize % SLOTS] = req;
+        self.next += 1;
+        self.live |= bit;
         self.queued += 1;
+        self.bank_reqs[req.bank] |= bit;
+        if self.banks[req.bank].open_row() == Some(req.row) {
+            self.hit |= bit;
+        }
         while self.queued > self.cfg.sched_window {
             self.issue_one();
-        }
-        // Out-of-FCFS-order picks leave stale order entries behind;
-        // compact once they outnumber the window so scans stay bounded.
-        if self.order.len() > self.queued + 2 * self.cfg.sched_window {
-            let pending = &self.pending;
-            self.order.retain(|e| Self::is_live(pending, e));
         }
     }
 
     /// Issues everything still queued and returns the statistics so far.
     pub fn drain(&mut self) -> DramStats {
-        while self.queued > 0 {
+        while self.live != 0 {
             self.issue_one();
         }
         if let Some(obs) = &mut self.obs {
@@ -286,259 +245,105 @@ impl Channel {
         self.stats
     }
 
-    /// Whether `e` still refers to a live (unissued) request. Row queues
-    /// pop in seq order, so an entry is live iff its seq has not yet
-    /// passed its queue's front.
+    /// The pending request at mask bit `i`.
     #[inline]
-    fn is_live(pending: &[Vec<RowQueue>], e: &OrderEntry) -> bool {
-        pending[e.bank]
-            .iter()
-            .find(|rq| rq.row == e.row)
-            .is_some_and(|rq| rq.front_seq <= e.seq)
+    fn slot(&self, i: u32) -> Request {
+        self.slots[(self.base + u64::from(i)) as usize % SLOTS]
     }
 
-    /// Removes and returns the front request of `(bank, row)`, maintaining
-    /// the live count and the mismatch index.
-    #[inline]
-    fn pop_pending(&mut self, bank: usize, row: u64) -> Request {
-        if let Some(Some((_, b, r))) = self.mis_cache {
-            if b == bank && r == row {
-                self.mis_cache = None;
-            }
-        }
-        let rows = &mut self.pending[bank];
-        let idx = rows
-            .iter()
-            .position(|rq| rq.row == row)
-            // lint:allow(panic-discipline) — callers pass (bank, row) taken from the pending index
-            .expect("pending row present");
-        // lint:allow(panic-discipline) — a pending row entry always holds at least one request
-        let p = rows[idx].fifo.pop_front().expect("row queue nonempty");
-        let is_hit_queue = self.banks[bank].open_row() == Some(row);
-        if let Some(next_seq) = rows[idx].fifo.front().map(|p| p.seq) {
-            rows[idx].front_seq = next_seq;
-            if is_hit_queue {
-                self.hit_front[bank] = next_seq;
-            }
-        } else {
-            let rq = rows.swap_remove(idx);
-            if self.free_queues.len() <= self.cfg.sched_window {
-                self.free_queues.push(rq.fifo);
-            }
-            if is_hit_queue {
-                self.hit_front[bank] = u64::MAX;
-            } else {
-                self.mismatched[bank] -= 1;
-                self.mismatched_total -= 1;
-            }
-        }
-        self.queued -= 1;
-        Request {
-            bank,
-            bank_group: p.bank_group,
-            row,
-            is_write: p.is_write,
-        }
-    }
-
-    /// Recomputes the mismatch count and the hit front for `bank` after
-    /// its open row changed (activation or refresh).
-    #[inline]
-    fn note_row_change(&mut self, bank: usize) {
-        self.mis_cache = None;
-        let open = self.banks[bank].open_row();
-        let mut new = 0;
-        let mut hit_front = u64::MAX;
-        for rq in &self.pending[bank] {
-            if Some(rq.row) == open {
-                hit_front = rq.front_seq;
-            } else {
-                new += 1;
-            }
-        }
-        self.hit_front[bank] = hit_front;
-        self.mismatched_total = self.mismatched_total - self.mismatched[bank] + new;
-        self.mismatched[bank] = new;
-    }
-
-    /// Fast path: every pending request is a row hit, so the oldest
-    /// request — the first live entry of the arrival deque — is the
-    /// FR-FCFS pick and background preparation has nothing to do. The
-    /// liveness check and the pop share one row-queue lookup.
-    #[inline]
-    fn pick_all_hits(&mut self) -> Request {
-        loop {
-            // lint:allow(panic-discipline) — issue_one() only schedules while requests are pending
-            let e = self.order.pop_front().expect("queue nonempty");
-            let rows = &mut self.pending[e.bank];
-            let Some(idx) = rows.iter().position(|rq| rq.row == e.row) else {
-                continue; // stale: row queue fully drained
-            };
-            // Live iff the entry's seq has not popped past the queue front;
-            // for the order front, live implies it *is* the queue front.
-            if rows[idx].front_seq > e.seq {
-                continue; // stale: reissued row, newer requests only
-            }
-            // lint:allow(panic-discipline) — front_seq liveness check guarantees the queue front
-            let p = rows[idx].fifo.pop_front().expect("nonempty");
-            if let Some(next_seq) = rows[idx].fifo.front().map(|p| p.seq) {
-                rows[idx].front_seq = next_seq;
-                self.hit_front[e.bank] = next_seq;
-            } else {
-                let rq = rows.swap_remove(idx);
-                if self.free_queues.len() <= self.cfg.sched_window {
-                    self.free_queues.push(rq.fifo);
+    /// Frees ring slots once arrivals reach the end of the ring (see the
+    /// module docs).
+    fn make_room(&mut self) {
+        match self.live.trailing_zeros() {
+            0 => self.renumber(),
+            // Nothing pending: restart the ring at the next arrival.
+            u128::BITS => self.base = self.next,
+            shift => {
+                self.live >>= shift;
+                self.hit >>= shift;
+                for reqs in &mut self.bank_reqs {
+                    *reqs >>= shift;
                 }
-                // All-hits invariant: the drained row was the open row, so
-                // the mismatch count is unchanged.
-                self.hit_front[e.bank] = u64::MAX;
+                self.base += u64::from(shift);
             }
-            self.queued -= 1;
-            return Request {
-                bank: e.bank,
-                bank_group: p.bank_group,
-                row: e.row,
-                is_write: p.is_write,
-            };
         }
     }
 
-    /// Recomputes (or returns the cached) oldest pending non-hit — the
-    /// background row-preparation candidate. The cache is invalidated by
-    /// open-row changes and by pops of the cached queue; pushes only ever
-    /// append younger requests, so they cannot displace a valid minimum.
-    fn oldest_mismatched(&mut self) -> Option<(u64, usize, u64)> {
-        if let Some(cached) = self.mis_cache {
-            return cached;
-        }
-        let mut best: Option<(u64, usize, u64)> = None;
-        for (bank_idx, rows) in self.pending.iter().enumerate() {
-            if self.mismatched[bank_idx] == 0 {
-                continue;
+    /// Moves the live requests to consecutive positions from `base`, in
+    /// arrival order, rebuilding the masks to match.
+    fn renumber(&mut self) {
+        let (old_live, old_hit) = (self.live, self.hit);
+        self.live = 0;
+        self.hit = 0;
+        self.bank_reqs.fill(0);
+        let mut rest = old_live;
+        let mut dense = 0u32;
+        // `dense <= i`: each request moves down, never onto one not yet moved.
+        while rest != 0 {
+            let i = rest.trailing_zeros();
+            rest &= rest - 1;
+            let req = self.slot(i);
+            self.slots[(self.base + u64::from(dense)) as usize % SLOTS] = req;
+            let bit = 1u128 << dense;
+            self.live |= bit;
+            self.bank_reqs[req.bank] |= bit;
+            if old_hit >> i & 1 == 1 {
+                self.hit |= bit;
             }
-            let open = self.banks[bank_idx].open_row();
-            for rq in rows {
-                if open != Some(rq.row) && best.is_none_or(|(s, _, _)| rq.front_seq < s) {
-                    best = Some((rq.front_seq, bank_idx, rq.row));
-                }
-            }
+            dense += 1;
         }
-        self.mis_cache = Some(best);
-        best
+        self.next = self.base + u64::from(dense);
     }
 
-    /// Background row preparation: ACT/PRE for `(bank, row)` — unless
-    /// another queued request still wants the victim row. Returns whether
-    /// the activation happened. The victim check is one read of the hit
-    /// index: a pending queue for the open row exists iff the bank's hit
-    /// front is set.
-    fn try_prepare(&mut self, bank: usize, row: u64) -> bool {
-        if self.hit_front[bank] != u64::MAX {
-            return false;
+    /// Background row preparation for the non-hit at mask bit `i`: ACT/PRE
+    /// its row — unless its bank still has pending hits on the open row
+    /// (the victim) — then mark the bank's requests for that row as hits.
+    fn try_prepare(&mut self, i: u32) {
+        let req = self.slot(i);
+        if self.hit & self.bank_reqs[req.bank] != 0 {
+            return;
         }
         let t = self.cfg.timing;
-        let act_gate = if self.recent_acts.len() >= 4 {
-            self.recent_acts[self.recent_acts.len() - 4] + t.faw
-        } else {
-            0
-        };
-        let issue_from = self.now.max(act_gate);
-        let (outcome, _) = self.banks[bank].access_row(row, issue_from, &t);
-        let act_at = self.banks[bank].activated_at();
-        self.recent_acts.push_back(act_at);
-        while self.recent_acts.len() > 4 {
-            self.recent_acts.pop_front();
-        }
-        self.note_row_change(bank);
+        let issue_from = self.now.max(self.faw_release[self.faw_next]);
+        let (outcome, _) = self.banks[req.bank].access_row(req.row, issue_from, &t);
+        self.faw_release[self.faw_next] = self.banks[req.bank].activated_at() + t.faw;
+        self.faw_next = (self.faw_next + 1) % 4;
         match outcome {
             RowOutcome::Hit => {}
             RowOutcome::Miss => self.stats.row_misses += 1,
             RowOutcome::Conflict => self.stats.row_conflicts += 1,
         }
-        true
+        // The bank had no hits, so only its requests for the new row join.
+        let mut members = self.bank_reqs[req.bank];
+        while members != 0 {
+            let j = members.trailing_zeros();
+            members &= members - 1;
+            if self.slot(j).row == req.row {
+                self.hit |= 1 << j;
+            }
+        }
     }
 
-    /// Slow path (some pending request is a non-hit): background
-    /// preparation for the oldest non-hit, then the FR-FCFS pick — oldest
-    /// row hit first, else the oldest request.
-    ///
-    /// The oldest live request (the arrival-deque front) collapses most of
-    /// the work: if it is a hit, it *is* the oldest hit, and preparation
-    /// works on the cached oldest non-hit; if it is a non-hit, it *is* the
-    /// preparation candidate, and a successful activation turns it into
-    /// the pick. Only a victim-blocked preparation needs a scan over the
-    /// open-row index to find the oldest hit.
-    #[inline]
-    fn prepare_and_pick(&mut self) -> Request {
-        // Oldest live request; prune stale entries off the deque front.
-        let front = loop {
-            // lint:allow(panic-discipline) — issue_one() only schedules while requests are pending
-            let e = *self.order.front().expect("queue nonempty");
-            if Self::is_live(&self.pending, &e) {
-                break e;
-            }
-            self.order.pop_front();
-        };
-        if self.banks[front.bank].open_row() == Some(front.row) {
-            if let Some((_, bank, row)) = self.oldest_mismatched() {
-                self.try_prepare(bank, row);
-            }
-            self.order.pop_front();
-            return self.pop_pending(front.bank, front.row);
-        }
-        // The oldest request is the oldest non-hit: prepare its row, and
-        // on success it becomes the oldest hit — the pick.
-        if self.try_prepare(front.bank, front.row) {
-            self.order.pop_front();
-            return self.pop_pending(front.bank, front.row);
-        }
-        // Preparation refused to close the victim row, so its pending hits
-        // exist; the oldest hit anywhere goes first. The dense hit index
-        // yields it as a min over one flat per-bank array — no rescan of
-        // the row queues (the old scan here accounted for ~25% of issue
-        // time on conflict-heavy BP workloads).
-        let mut best_hit: Option<(u64, usize)> = None;
-        for (bank_idx, &front) in self.hit_front.iter().enumerate() {
-            if front != u64::MAX && best_hit.is_none_or(|(s, _)| front < s) {
-                best_hit = Some((front, bank_idx));
-            }
-        }
-        // lint:allow(panic-discipline) — caller reaches here only when a victim bank has hits
-        let (_, bank) = best_hit.expect("victim row has pending hits");
-        let row = self.banks[bank]
-            .open_row()
-            // lint:allow(panic-discipline) — hit_front is set only while the bank row is open
-            .expect("hit front implies open row");
-        self.pop_pending(bank, row)
-    }
-
+    /// Issues one request: background preparation for the oldest non-hit,
+    /// then the oldest hit's column command.
     #[inline]
     fn issue_one(&mut self) {
         self.maybe_refresh();
-        let req = if self.mismatched_total == 0 {
-            self.pick_all_hits()
-        } else {
-            self.prepare_and_pick()
-        };
-        let t = self.cfg.timing;
-
-        // Row management; activates are gated by the tFAW window.
-        let needs_act = self.banks[req.bank].open_row() != Some(req.row);
-        let act_gate = if needs_act && self.recent_acts.len() >= 4 {
-            self.recent_acts[self.recent_acts.len() - 4] + t.faw
-        } else {
-            0
-        };
-        let issue_from = self.now.max(act_gate);
-        let (outcome, row_ready) = self.banks[req.bank].access_row(req.row, issue_from, &t);
-        if needs_act {
-            let act_at = self.banks[req.bank].activated_at();
-            self.recent_acts.push_back(act_at);
-            while self.recent_acts.len() > 4 {
-                self.recent_acts.pop_front();
-            }
-            self.note_row_change(req.bank);
+        let waiting = self.live & !self.hit;
+        if waiting != 0 {
+            self.try_prepare(waiting.trailing_zeros());
         }
+        debug_assert_ne!(self.hit, 0, "a pending request exists, so a hit does");
+        let i = self.hit.trailing_zeros();
+        let req = self.slot(i);
+        let bit = 1u128 << i;
+        self.live &= !bit;
+        self.queued -= 1;
+        self.hit &= !bit;
+        self.bank_reqs[req.bank] &= !bit;
+        let t = self.cfg.timing;
+        let (outcome, row_ready) = self.banks[req.bank].access_row(req.row, self.now, &t);
+        debug_assert_eq!(outcome, RowOutcome::Hit, "every pick is a row hit");
 
         // Column command: after row ready, tCCD_L since the last column in
         // the same group, tCCD_S since the last column in any group, and
@@ -573,11 +378,7 @@ impl Channel {
         } else {
             self.stats.reads += 1;
         }
-        match outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
-            RowOutcome::Miss => self.stats.row_misses += 1,
-            RowOutcome::Conflict => self.stats.row_conflicts += 1,
-        }
+        self.stats.row_hits += 1;
         self.stats.total_cycles = self.stats.total_cycles.max(data_end);
         if let Some(obs) = &mut self.obs {
             obs.sample_left -= 1;
@@ -594,23 +395,17 @@ impl Channel {
             return;
         }
         let t = self.cfg.timing;
-        let mut fired = false;
         while self.now >= self.next_refresh {
-            for bank in &mut self.banks {
-                bank.close();
-            }
             // All-bank refresh blocks the channel for tRFC.
             self.now = self.next_refresh + t.rfc;
             self.bus_free = self.bus_free.max(self.now);
             self.next_refresh += t.refi;
             self.stats.refreshes += 1;
-            fired = true;
         }
-        if fired {
-            for bank in 0..self.banks.len() {
-                self.note_row_change(bank);
-            }
+        for bank in &mut self.banks {
+            bank.close();
         }
+        self.hit = 0;
     }
 }
 
@@ -618,14 +413,40 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::config::DdrTiming;
+    use std::collections::VecDeque;
 
     fn cfg() -> DramConfig {
         DramConfig::test_single_channel()
     }
 
+    /// FR-FCFS windows of 1, 2, 7, 64 and the ring's cap, on the
+    /// single-channel test geometry and the paper's 2-rank, 32-bank one.
+    fn windows_and_geometries() -> impl Iterator<Item = DramConfig> {
+        [cfg(), DramConfig::ddr4_2400_16gb()]
+            .into_iter()
+            .flat_map(|geometry| {
+                [1, 2, 7, 64, MAX_SCHED_WINDOW].map(|sched_window| DramConfig {
+                    sched_window,
+                    ..geometry
+                })
+            })
+    }
+
+    /// The differential tests' configurations: [`windows_and_geometries`]
+    /// plus a tREFI short enough that refreshes land while the window holds
+    /// both hits and non-hits.
+    fn oracle_configs() -> impl Iterator<Item = DramConfig> {
+        let timing = DdrTiming {
+            refi: 700,
+            rfc: 60,
+            ..DdrTiming::ddr4_2400()
+        };
+        windows_and_geometries().chain([DramConfig { timing, ..cfg() }])
+    }
+
     /// Reference scheduler: the original flat-queue O(window) FR-FCFS
     /// algorithm with the same timing rules, used as a differential
-    /// oracle for the indexed scheduler.
+    /// oracle for the bitmask window.
     struct FlatChannel {
         cfg: DramConfig,
         banks: Vec<Bank>,
@@ -724,7 +545,7 @@ mod tests {
                 .position(|r| self.banks[r.bank].open_row() == Some(r.row))
                 .unwrap_or(0);
             let req = self.queue.remove(pick).expect("queue nonempty");
-            // Column timing (same rules as the indexed scheduler).
+            // Column timing (same rules as the bitmask window).
             let needs_act = self.banks[req.bank].open_row() != Some(req.row);
             let act_gate = if needs_act && self.recent_acts.len() >= 4 {
                 self.recent_acts[self.recent_acts.len() - 4] + t.faw
@@ -789,8 +610,7 @@ mod tests {
     fn indexed_scheduler_matches_flat_reference() {
         // Differential oracle: mixed streaming/scatter/write workloads must
         // produce identical statistics to the flat O(window) scheduler.
-        let cfg = cfg();
-        for seed in 0..8u64 {
+        for (cfg, seed) in oracle_configs().flat_map(|cfg| (0..8u64).map(move |s| (cfg, s))) {
             let mut state = seed.wrapping_mul(0x5851_F42D_4C95_7F2D) + 1;
             let mut fast = Channel::new(cfg);
             let mut flat = FlatChannel::new(cfg);
@@ -819,23 +639,21 @@ mod tests {
                 flat.push(req);
                 if i % 1024 == 1023 {
                     // Mid-run checkpoints drain both to idle.
-                    assert_eq!(fast.drain(), flat.drain(), "seed {seed}, step {i}");
+                    assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}, step {i}");
                 }
             }
-            assert_eq!(fast.drain(), flat.drain(), "seed {seed}");
+            assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}");
         }
     }
 
     #[test]
     fn victim_blocked_pick_matches_flat_reference() {
-        // Regression pin for the hit-index fast path: a conflict storm on
-        // a few banks keeps the arrival-deque front a non-hit whose
-        // preparation is victim-blocked (the open row still has pending
-        // hits behind younger conflicting requests), so every issue takes
-        // the oldest-hit branch. Schedules must stay identical to the
-        // flat O(window) scan.
-        let cfg = cfg();
-        for seed in 0..6u64 {
+        // A conflict storm on a few banks keeps the oldest request a
+        // non-hit whose preparation is victim-blocked (the open row still
+        // has pending hits behind younger conflicting requests), so most
+        // issues pick the oldest hit past it. Schedules must stay
+        // identical to the flat O(window) scan.
+        for (cfg, seed) in oracle_configs().flat_map(|cfg| (0..6u64).map(move |s| (cfg, s))) {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + 3;
             let mut fast = Channel::new(cfg);
             let mut flat = FlatChannel::new(cfg);
@@ -853,11 +671,68 @@ mod tests {
                 fast.push(req);
                 flat.push(req);
                 if i % 2048 == 2047 {
-                    assert_eq!(fast.drain(), flat.drain(), "seed {seed}, step {i}");
+                    assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}, step {i}");
                 }
             }
-            assert_eq!(fast.drain(), flat.drain(), "seed {seed}");
+            assert_eq!(fast.drain(), flat.drain(), "{cfg:?} seed {seed}");
         }
+    }
+
+    #[test]
+    fn starved_non_hit_matches_flat_reference() {
+        // One non-hit held at the front of the window behind 400 younger
+        // hits on its bank's open row: its preparation stays
+        // victim-blocked, so the ring fills with it at `base` and must
+        // renumber. The all-hits prefix before it fills the ring by
+        // shifting. Two rounds, checked at each drain.
+        let hit = Request {
+            bank: 0,
+            bank_group: 0,
+            row: 0,
+            is_write: false,
+        };
+        for cfg in windows_and_geometries() {
+            let mut fast = Channel::new(cfg);
+            let mut flat = FlatChannel::new(cfg);
+            let mut pushes = 0u64;
+            for round in 0..2u64 {
+                let starved = Request {
+                    row: 1 + round,
+                    is_write: round == 1,
+                    ..hit
+                };
+                let stream = std::iter::repeat_n(hit, 200)
+                    .chain([starved])
+                    .chain(std::iter::repeat_n(hit, 400));
+                for (i, req) in stream.enumerate() {
+                    fast.push(req);
+                    flat.push(req);
+                    pushes += 1;
+                    if i == 500 {
+                        assert_eq!(fast.live & 1, 1, "{cfg:?}: the non-hit starves at base");
+                    }
+                }
+                assert_eq!(fast.drain(), flat.drain(), "{cfg:?} round {round}");
+            }
+            assert!(fast.base > 0, "{cfg:?}: the ring never shifted");
+            assert!(fast.next < pushes, "{cfg:?}: the ring never renumbered");
+        }
+    }
+
+    #[test]
+    fn ring_cap_matches_target_validation() {
+        // Target validation and the ring agree on the largest window.
+        let mut target = guardnn_targets::get("guardnn-paper").unwrap().clone();
+        target.dram.sched_window = MAX_SCHED_WINDOW as u64;
+        target.validate().unwrap();
+        Channel::new(DramConfig::from_target(&target));
+        target.dram.sched_window += 1;
+        assert!(matches!(
+            target.validate(),
+            Err(guardnn_targets::TargetError::Invalid { path, .. }) if path == "dram.sched_window"
+        ));
+        let too_wide = DramConfig::from_target(&target);
+        assert!(std::panic::catch_unwind(|| Channel::new(too_wide)).is_err());
     }
 
     fn stream(channel: &mut Channel, n: u64, same_row: bool) -> DramStats {
@@ -1147,8 +1022,8 @@ mod tests {
     fn deep_window_reordering_matches_flat_scan() {
         // A pathological mix (interleaved conflicting rows on a few banks,
         // reads and writes) must drain completely with every request
-        // issued exactly once, exercising the slow path, the freelist and
-        // the stale-entry compaction together.
+        // issued exactly once, exercising preparation, victim-blocked
+        // picks and the ring's shifts and renumbering together.
         let mut ch = Channel::new(cfg());
         let n = 4096usize;
         for i in 0..n {

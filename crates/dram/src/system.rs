@@ -13,10 +13,24 @@ pub trait DramSink {
     /// Enqueues one transaction of `access_bytes` at `addr`.
     fn access(&mut self, addr: u64, is_write: bool);
 
+    /// Enqueues a run of `blocks` 64-byte blocks from `first_addr`: by
+    /// definition the same as `blocks` [`DramSink::access`] calls at
+    /// `first_addr`, `first_addr + 64`, … in address order, which is what
+    /// the default does (so wrappers that count accesses keep counting
+    /// them). [`DramSystem`] overrides it to decode once per row page.
+    fn access_range(&mut self, first_addr: u64, blocks: u64, is_write: bool) {
+        for k in 0..blocks {
+            self.access(first_addr + k * BLOCK_BYTES, is_write);
+        }
+    }
+
     /// Drains all queues and returns merged statistics so far (bank and
     /// timing state persist — this checkpoints, it does not reset).
     fn drain_stats(&mut self) -> DramStats;
 }
+
+/// The stride of [`DramSink::access_range`]: one BL8 burst on a 64-bit bus.
+const BLOCK_BYTES: u64 = 64;
 
 /// The full DRAM system: address decoding plus one [`Channel`] per channel.
 ///
@@ -105,16 +119,6 @@ impl DramSystem {
         self.channels[channel].push(req);
     }
 
-    /// Enqueues a contiguous burst covering `[addr, addr + bytes)`.
-    pub fn access_range(&mut self, addr: u64, bytes: u64, is_write: bool) {
-        let granule = self.cfg.access_bytes;
-        let start = addr / granule;
-        let end = (addr + bytes).div_ceil(granule);
-        for block in start..end {
-            self.access(block * granule, is_write);
-        }
-    }
-
     /// Drains all queues and returns merged statistics. Total cycles is the
     /// max across channels (they run in parallel).
     pub fn finish(mut self) -> DramStats {
@@ -197,6 +201,40 @@ impl DramSink for DramSystem {
         DramSystem::access(self, addr, is_write);
     }
 
+    /// Decodes the first block of each row page in full and steps the
+    /// rest: within a page only the channel, bank-group and
+    /// column bits change, never rank, bank or row. Without a shift plan,
+    /// or with a granule other than 64 B, it issues one access per block.
+    fn access_range(&mut self, first_addr: u64, blocks: u64, is_write: bool) {
+        let Some(s) = self.shifts.filter(|s| 1 << s.access == BLOCK_BYTES) else {
+            for k in 0..blocks {
+                self.access(first_addr + k * BLOCK_BYTES, is_write);
+            }
+            return;
+        };
+        let page_shift = s.channels + s.bank_groups + s.cols_per_row;
+        let channel_mask = (1 << s.channels) - 1;
+        let group_mask = (1 << s.bank_groups) - 1;
+        let per_group = self.cfg.banks_per_group;
+        let mut block = first_addr >> s.access;
+        let end = block + blocks;
+        while block < end {
+            let page_end = end.min(((block >> page_shift) + 1) << page_shift);
+            let (_, first) = self.route(block << s.access, is_write);
+            let group0_bank = first.bank - first.bank_group * per_group;
+            for b in block..page_end {
+                let bank_group = (b >> s.channels & group_mask) as usize;
+                self.channels[(b & channel_mask) as usize].push(Request {
+                    bank: group0_bank + bank_group * per_group,
+                    bank_group,
+                    row: first.row,
+                    is_write,
+                });
+            }
+            block = page_end;
+        }
+    }
+
     fn drain_stats(&mut self) -> DramStats {
         DramSystem::drain_stats(self)
     }
@@ -260,7 +298,7 @@ mod tests {
     fn streaming_gets_high_bandwidth() {
         let cfg = DramConfig::ddr4_2400_16gb();
         let mut sys = DramSystem::new(cfg);
-        sys.access_range(0, 1 << 20, false); // 1 MiB stream
+        sys.access_range(0, (1 << 20) / 64, false); // 1 MiB stream
         let stats = sys.finish();
         let bpc = stats.bytes_per_cycle(64);
         // 2 channels → up to 32 B/cycle; streaming should reach >75%.
@@ -295,9 +333,109 @@ mod tests {
     fn access_range_covers_partial_blocks() {
         let cfg = DramConfig::test_single_channel();
         let mut sys = DramSystem::new(cfg);
-        sys.access_range(10, 100, true); // spans blocks 0 and 1
+        sys.access_range(10, 2, true); // addresses 10 and 74: blocks 0 and 1
         let stats = sys.finish();
         assert_eq!(stats.writes, 2);
+    }
+
+    /// Random block runs: most cross row pages (and every run of two or
+    /// more blocks crosses channels), some are short, some empty, and the
+    /// start address is rarely block-aligned.
+    fn random_runs(cfg: &DramConfig, seed: u64, n: usize) -> Vec<(u64, u64, bool)> {
+        let page_blocks = cfg.channels as u64 * cfg.bank_groups as u64 * cfg.row_bytes / 64;
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let blocks = if r % 4 == 0 {
+                    r % 17
+                } else {
+                    r % (3 * page_blocks)
+                };
+                (next() % (1 << 34), blocks, r >> 63 == 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn access_range_matches_per_block_accesses() {
+        // Every registry geometry (1, 2 or 8 channels; 1 or 2 ranks; 1 or
+        // 4 bank groups; 2 or 8 KiB rows), plus one that is not a power of
+        // two, so the div/mod decode runs. Statistics are compared at
+        // every drain.
+        let mut cfgs: Vec<DramConfig> = guardnn_targets::builtin_targets()
+            .iter()
+            .map(DramConfig::from_target)
+            .collect();
+        cfgs.push(DramConfig {
+            channels: 3,
+            bank_groups: 3,
+            row_bytes: 3 << 10,
+            ..DramConfig::ddr4_2400_16gb()
+        });
+        for cfg in cfgs {
+            let mut ranged = DramSystem::new(cfg);
+            let mut single = DramSystem::new(cfg);
+            for (i, (first_addr, blocks, write)) in
+                random_runs(&cfg, 0x5EED, 240).into_iter().enumerate()
+            {
+                ranged.access_range(first_addr, blocks, write);
+                for k in 0..blocks {
+                    single.access(first_addr + k * 64, write);
+                }
+                if i % 40 == 39 {
+                    assert_eq!(
+                        ranged.drain_stats(),
+                        single.drain_stats(),
+                        "{cfg:?} run {i}"
+                    );
+                }
+            }
+        }
+        // An empty run issues nothing, whatever its alignment.
+        let mut sys = DramSystem::new(DramConfig::test_single_channel());
+        sys.access_range(10, 0, true);
+        assert_eq!(sys.finish(), DramStats::default());
+    }
+
+    #[test]
+    fn tampering_sink_counts_range_accesses() {
+        // A wrapper that keeps the default `access_range` sees one access
+        // per block, so a fault strikes the same access index whether the
+        // driver hands it runs or single blocks.
+        use crate::tamper::{StreamFault, TamperingSink};
+        let cfg = DramConfig::ddr4_2400_16gb();
+        let runs = random_runs(&cfg, 0xFA17, 40);
+        for fault in [
+            StreamFault::AddrFlip {
+                at: 5_000,
+                count: 64,
+                xor: 1 << 20,
+            },
+            StreamFault::Replay {
+                start: 1_000,
+                len: 300,
+                at: 9_001,
+            },
+            StreamFault::Drop { at: 777, count: 33 },
+        ] {
+            let mut ranged = TamperingSink::new(DramSystem::new(cfg), fault);
+            let mut single = TamperingSink::new(DramSystem::new(cfg), fault);
+            for &(first_addr, blocks, write) in &runs {
+                ranged.access_range(first_addr, blocks, write);
+                for k in 0..blocks {
+                    single.access(first_addr + k * 64, write);
+                }
+            }
+            assert!(ranged.fired(), "{fault:?}");
+            assert_eq!(ranged.drain_stats(), single.drain_stats(), "{fault:?}");
+        }
     }
 
     #[test]
@@ -308,7 +446,7 @@ mod tests {
                 ..DramConfig::ddr4_2400_16gb()
             };
             let mut sys = DramSystem::new(cfg);
-            sys.access_range(0, 4 << 20, false);
+            sys.access_range(0, (4 << 20) / 64, false);
             let stats = sys.finish();
             stats.bytes_per_cycle(64)
         };

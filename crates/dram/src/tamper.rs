@@ -146,6 +146,10 @@ impl<S: DramSink + ?Sized> DramSink for &mut S {
         (**self).access(addr, is_write);
     }
 
+    fn access_range(&mut self, first_addr: u64, blocks: u64, is_write: bool) {
+        (**self).access_range(first_addr, blocks, is_write);
+    }
+
     fn drain_stats(&mut self) -> DramStats {
         (**self).drain_stats()
     }

@@ -141,7 +141,8 @@ impl ProtectionEngine for BaselineMee {
         let mut vn_left = per_vn - blocks.start % per_vn;
         let mut mac_line = self.mac_base + blocks.start / per_mac * BLOCK_BYTES;
         let mut mac_left = per_mac - blocks.start % per_mac;
-        for block in blocks {
+        let mut block = blocks.start;
+        while block < blocks.end {
             // Version-number line: read to build the counter, dirtied by
             // writes (the per-block counter increments).
             let vn_line = self.vn_base + vn_index * BLOCK_BYTES;
@@ -165,12 +166,21 @@ impl ProtectionEngine for BaselineMee {
             } else {
                 self.touch(mac_line, false, block, out);
             }
-            vn_left -= 1;
+            // While both lines stay resident, the pair's next blocks hit
+            // both and emit nothing: advance them in one cache step.
+            let rest = vn_left.min(mac_left).min(blocks.end - block) - 1;
+            let step = if rest > 0 && self.cache.hit_pair_run(vn_line, mac_line, write, rest) {
+                1 + rest
+            } else {
+                1
+            };
+            block += step;
+            vn_left -= step;
             if vn_left == 0 {
                 vn_index += 1;
                 vn_left = per_vn;
             }
-            mac_left -= 1;
+            mac_left -= step;
             if mac_left == 0 {
                 mac_line += BLOCK_BYTES;
                 mac_left = per_mac;

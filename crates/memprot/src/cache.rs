@@ -138,13 +138,37 @@ impl MetaCache {
         }
     }
 
+    /// `n ≥ 1` rounds of accesses to the lines containing `first` and then
+    /// `second`, in one step, provided both lines are resident so that
+    /// every access hits: the LRU stamps, dirty bits and the access
+    /// counter end as after the `2n` single [`MetaCache::access`]es.
+    /// Returns false, changing nothing, when either line is absent.
+    pub(crate) fn hit_pair_run(&mut self, first: u64, second: u64, write: bool, n: u64) -> bool {
+        debug_assert!(n > 0, "a pair run covers at least one round");
+        let (Some(a), Some(b)) = (self.find(first), self.find(second)) else {
+            return false;
+        };
+        self.accesses += 2 * n;
+        for ((set, way), stamp) in [(a, self.accesses - 1), (b, self.accesses)] {
+            let line = &mut self.sets[set][way];
+            line.used = stamp;
+            line.dirty |= write;
+        }
+        true
+    }
+
+    /// The set and way holding the line containing `addr`, if resident.
+    fn find(&self, addr: u64) -> Option<(usize, usize)> {
+        let line_addr = addr / LINE_BYTES * LINE_BYTES;
+        let set = self.set_index(line_addr);
+        let way = self.sets[set].iter().position(|l| l.tag == line_addr)?;
+        Some((set, way))
+    }
+
     /// Returns true if the line containing `addr` is resident (no state
     /// change).
     pub fn contains(&self, addr: u64) -> bool {
-        let line_addr = addr / LINE_BYTES * LINE_BYTES;
-        self.sets[self.set_index(line_addr)]
-            .iter()
-            .any(|l| l.tag == line_addr)
+        self.find(addr).is_some()
     }
 
     /// Drains all dirty lines (end-of-run write-back), returning their
@@ -251,6 +275,36 @@ mod tests {
                 }
                 assert_eq!(runs.access_run(addr, write, n), first);
                 assert_eq!(runs, singles);
+            }
+        }
+    }
+
+    #[test]
+    fn hit_pair_run_equals_interleaved_accesses() {
+        // Two-line rounds, hit or not, against the alternating single
+        // accesses they stand for; a refused run must leave no trace.
+        for (capacity, ways) in [(256, 2), (192, 1), (768, 4)] {
+            let mut runs = MetaCache::new(capacity, ways);
+            let mut singles = runs.clone();
+            let mut state = 11;
+            for _ in 0..2000 {
+                let r = splitmix(&mut state);
+                let (a, b) = (r % 16 * 64, (r >> 8) % 16 * 64 + 1024);
+                let write = r >> 40 & 1 == 1;
+                let n = (r >> 48) % 8 + 1;
+                runs.access(a, write);
+                singles.access(a, write);
+                let both = singles.contains(a) && singles.contains(b);
+                if both {
+                    for _ in 0..n {
+                        singles.access(a, write);
+                        singles.access(b, write);
+                    }
+                }
+                assert_eq!(runs.hit_pair_run(a, b, write, n), both);
+                assert_eq!(runs, singles);
+                runs.access(b, !write);
+                singles.access(b, !write);
             }
         }
     }

@@ -8,8 +8,9 @@
 //! splits each event into block ranges of at most 1,024 blocks, hands each
 //! range to [`ProtectionEngine::on_range`], and issues the data blocks with
 //! the engine's tagged metadata placed behind the block each access
-//! follows (reads inline, writes coalesced into sorted batches). Two entry
-//! points feed it:
+//! follows (reads inline, writes coalesced into sorted batches). Each run
+//! of data blocks between two metadata accesses goes to the sink in one
+//! [`DramSink::access_range`] call. Two entry points feed it:
 //!
 //! * [`run_protected_streaming`] (and its `_observed` / `_into` variants)
 //!   — the production path: pulls a [`TraceSource`] (e.g.
@@ -130,15 +131,14 @@ impl<S: DramSink> Issuer<'_, S> {
             self.issued.data += range_end - block;
             for i in 0..self.metas.len() {
                 let TaggedMeta { block: tag, meta } = self.metas[i];
-                for b in block..=tag {
-                    self.dram.access(b * BLOCK_BYTES, ev.write);
-                }
+                // Empty when `tag` already led an earlier metadata access.
+                self.dram
+                    .access_range(block * BLOCK_BYTES, tag + 1 - block, ev.write);
                 block = tag + 1;
                 self.meta(meta);
             }
-            for b in block..range_end {
-                self.dram.access(b * BLOCK_BYTES, ev.write);
-            }
+            self.dram
+                .access_range(block * BLOCK_BYTES, range_end - block, ev.write);
             block = range_end;
         }
     }

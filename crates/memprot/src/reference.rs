@@ -120,20 +120,29 @@ fn guardnn_range_matches_per_block_reference() {
 #[test]
 fn baseline_range_matches_per_block_reference() {
     // The ablation sweep's 8–256 KiB caches, a 48-set cache (not a power
-    // of two) and a direct-mapped one.
+    // of two), a direct-mapped one, and 2-way caches of 4 and 16 sets,
+    // where a block's VN and MAC lines (and a tree node) often share a set
+    // and evict each other.
     let mut geometries: Vec<(u64, usize)> = [8, 16, 32, 64, 128, 256]
         .into_iter()
         .map(|kib| (kib << 10, 8))
         .collect();
-    geometries.extend([(24 << 10, 8), (8 << 10, 1)]);
+    geometries.extend([(24 << 10, 8), (8 << 10, 1), (512, 2), (2 << 10, 2)]);
+    // VN and MAC lines covering different block counts, so a pair's run
+    // ends at either line's boundary.
+    let line_blocks = [(8, 8), (8, 4), (4, 16)];
     for (cache_bytes, cache_ways) in geometries {
-        let cfg = MeeConfig {
-            cache_bytes,
-            cache_ways,
-            ..MeeConfig::default()
-        };
-        for seed in 0..3 {
-            check_against_reference(BaselineMee::new(DATA_BYTES, cfg), seed);
+        for (blocks_per_vn_line, blocks_per_mac_line) in line_blocks {
+            let cfg = MeeConfig {
+                cache_bytes,
+                cache_ways,
+                blocks_per_vn_line,
+                blocks_per_mac_line,
+                ..MeeConfig::default()
+            };
+            for seed in 0..3 {
+                check_against_reference(BaselineMee::new(DATA_BYTES, cfg), seed);
+            }
         }
     }
 }

@@ -55,7 +55,7 @@ pub struct DramSpec {
     pub access_bytes: u64,
     /// Memory clock, MHz (data rate is 2×).
     pub clock_mhz: u64,
-    /// FR-FCFS reordering window.
+    /// FR-FCFS reordering window, in requests (1–127).
     pub sched_window: u64,
     /// Core timing parameters.
     pub timing: TimingSpec,
@@ -358,6 +358,14 @@ impl HardwareTarget {
                 return bad(path, "must be at least 1");
             }
         }
+        // The DRAM channel scheduler keeps its window in a 128-slot ring
+        // that must also hold the request being pushed.
+        if d.sched_window > 127 {
+            return bad(
+                "dram.sched_window",
+                "the FR-FCFS window holds at most 127 requests",
+            );
+        }
         if d.row_bytes < d.access_bytes {
             return bad("dram.row_bytes", "must be at least one access granule");
         }
@@ -603,6 +611,11 @@ mod tests {
             ("    refi: 9360\n", "    refi: 100\n", "dram.timing.refi"),
             ("    ccd_s: 4\n", "    ccd_s: 9\n", "dram.timing.ccd_s"),
             ("  row_bytes: 8192\n", "  row_bytes: 32\n", "dram.row_bytes"),
+            (
+                "  sched_window: 64\n",
+                "  sched_window: 128\n",
+                "dram.sched_window",
+            ),
             (
                 "  compute_efficiency: 0.75\n",
                 "  compute_efficiency: 1.5\n",
