@@ -4,7 +4,9 @@
 //! the protected accelerator computes the same outputs as the unprotected
 //! one. This module provides the compute kernels the device model uses for
 //! that demonstration — straightforward integer implementations of the
-//! [`guardnn_models::Op`] operators (i32 values, i64 accumulation).
+//! [`guardnn_models::Op`] operators on i32 values. The GEMMs sum in i64
+//! and truncate to i32; `conv2d` accumulates with wrapping i32 arithmetic,
+//! which gives the same bits (both reduce mod 2³²).
 //!
 //! Shapes come from the layer description; data is laid out row-major
 //! (features as `[channel][height][width]`, GEMM operands as `[row][col]`).
@@ -53,49 +55,80 @@ fn check_len(data: &[i32], expected: usize) -> Result<(), GuardNnError> {
     }
 }
 
-/// Direct 2-D convolution (optionally depthwise). Input is
-/// `[in_c][in_h][in_w]`, weights `[out_c][in_c][kh][kw]` (or
-/// `[c][kh][kw]` when depthwise), output `[out_c][out_h][out_w]`.
+/// 2-D convolution (optionally depthwise). Input is `[in_c][in_h][in_w]`,
+/// weights `[out_c][in_c][kh][kw]` (or `[c][kh][kw]` when depthwise),
+/// output `[out_c][out_h][out_w]`.
+///
+/// The input is first lowered (im2col): row `(ic, ky, kx)` of the lowered
+/// matrix holds, for every output pixel, the input pixel that kernel tap
+/// reads, or zero where it reads padding. The rows are filled once per
+/// input channel, using the output rows and columns at which each tap
+/// lands inside the image, so no tap tests bounds. Each output plane is
+/// then a weighted sum of whole lowered rows. Accumulation wraps in `i32`,
+/// which is bit-identical to an exact sum truncated to `i32` (both reduce
+/// mod 2³²).
 pub fn conv2d(spec: &ConvSpec, input: &[i32], weights: &[i32]) -> Vec<i32> {
     let (oh, ow) = (spec.out_h(), spec.out_w());
-    let mut out = vec![0i32; spec.out_c * oh * ow];
+    let pixels = oh * ow;
     let in_plane = spec.in_h * spec.in_w;
-    for oc in 0..spec.out_c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0i64;
-                let channels: Box<dyn Iterator<Item = usize>> = if spec.depthwise {
-                    Box::new(std::iter::once(oc))
-                } else {
-                    Box::new(0..spec.in_c)
-                };
-                for ic in channels {
-                    for ky in 0..spec.kh {
-                        for kx in 0..spec.kw {
-                            let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if iy < 0
-                                || ix < 0
-                                || iy >= spec.in_h as isize
-                                || ix >= spec.in_w as isize
-                            {
-                                continue;
-                            }
-                            let x = input[ic * in_plane + iy as usize * spec.in_w + ix as usize];
-                            let w = if spec.depthwise {
-                                weights[oc * spec.kh * spec.kw + ky * spec.kw + kx]
-                            } else {
-                                weights[((oc * spec.in_c + ic) * spec.kh + ky) * spec.kw + kx]
-                            };
-                            acc += x as i64 * w as i64;
-                        }
-                    }
+    let taps = spec.kh * spec.kw;
+    let rows: Vec<(usize, usize)> = (0..spec.kh)
+        .map(|ky| tap_outputs(ky, spec.pad, spec.stride, spec.in_h, oh))
+        .collect();
+    let cols: Vec<(usize, usize)> = (0..spec.kw)
+        .map(|kx| tap_outputs(kx, spec.pad, spec.stride, spec.in_w, ow))
+        .collect();
+    let mut lowered = vec![0i32; spec.in_c * taps * pixels];
+    for (ic, tap_rows) in lowered.chunks_exact_mut(taps * pixels).enumerate() {
+        let x = &input[ic * in_plane..(ic + 1) * in_plane];
+        for (tap, row) in tap_rows.chunks_exact_mut(pixels).enumerate() {
+            let (ky, kx) = (tap / spec.kw, tap % spec.kw);
+            let ((oy0, oy1), (ox0, ox1)) = (rows[ky], cols[kx]);
+            if ox0 == ox1 {
+                continue;
+            }
+            for oy in oy0..oy1 {
+                let iy = oy * spec.stride + ky - spec.pad;
+                let ix0 = ox0 * spec.stride + kx - spec.pad;
+                let src = x[iy * spec.in_w + ix0..].iter().step_by(spec.stride);
+                for (d, &v) in row[oy * ow + ox0..oy * ow + ox1].iter_mut().zip(src) {
+                    *d = v;
                 }
-                out[oc * oh * ow + oy * ow + ox] = acc as i32;
+            }
+        }
+    }
+    // A depthwise kernel reads its own channel's `taps` rows; a full
+    // kernel reads every row.
+    let per_out = if spec.depthwise {
+        taps
+    } else {
+        spec.in_c * taps
+    };
+    let mut out = vec![0i32; spec.out_c * pixels];
+    for (oc, plane) in out.chunks_exact_mut(pixels).enumerate() {
+        let first = if spec.depthwise { oc * taps } else { 0 };
+        let kernel = &weights[oc * per_out..(oc + 1) * per_out];
+        let inputs = lowered[first * pixels..(first + per_out) * pixels].chunks_exact(pixels);
+        for (&w, row) in kernel.iter().zip(inputs) {
+            for (d, &v) in plane.iter_mut().zip(row) {
+                *d = d.wrapping_add(v.wrapping_mul(w));
             }
         }
     }
     out
+}
+
+/// The output positions `[lo, hi)` (of `outputs` along one axis) at which
+/// kernel offset `k` reads inside the input of length `len`, i.e. where
+/// `0 <= o * stride + k - pad < len`.
+fn tap_outputs(k: usize, pad: usize, stride: usize, len: usize, outputs: usize) -> (usize, usize) {
+    let hi = if len + pad > k {
+        ((len + pad - k - 1) / stride + 1).min(outputs)
+    } else {
+        0
+    };
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(hi);
+    (lo, hi)
 }
 
 /// Row-major GEMM: `C[m×n] = A[m×k] · B[k×n]`.
@@ -317,6 +350,114 @@ mod tests {
     use super::*;
     use guardnn_models::layer::{conv, dwconv, fc};
     use guardnn_models::Gemm;
+
+    /// The per-pixel kernel `conv2d` replaced (i64 sums, a bounds test
+    /// per tap), kept as its differential reference.
+    fn conv2d_direct(spec: &ConvSpec, input: &[i32], weights: &[i32]) -> Vec<i32> {
+        let (oh, ow) = (spec.out_h(), spec.out_w());
+        let mut out = vec![0i32; spec.out_c * oh * ow];
+        let in_plane = spec.in_h * spec.in_w;
+        for oc in 0..spec.out_c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0i64;
+                    let channels: Box<dyn Iterator<Item = usize>> = if spec.depthwise {
+                        Box::new(std::iter::once(oc))
+                    } else {
+                        Box::new(0..spec.in_c)
+                    };
+                    for ic in channels {
+                        for ky in 0..spec.kh {
+                            for kx in 0..spec.kw {
+                                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                                let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                                if iy < 0
+                                    || ix < 0
+                                    || iy >= spec.in_h as isize
+                                    || ix >= spec.in_w as isize
+                                {
+                                    continue;
+                                }
+                                let x =
+                                    input[ic * in_plane + iy as usize * spec.in_w + ix as usize];
+                                let w = if spec.depthwise {
+                                    weights[oc * spec.kh * spec.kw + ky * spec.kw + kx]
+                                } else {
+                                    weights[((oc * spec.in_c + ic) * spec.kh + ky) * spec.kw + kx]
+                                };
+                                acc += x as i64 * w as i64;
+                            }
+                        }
+                    }
+                    out[oc * oh * ow + oy * ow + ox] = acc as i32;
+                }
+            }
+        }
+        out
+    }
+
+    /// splitmix64, the seeded source of the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn conv2d_matches_direct_reference() {
+        let mut seed = 0xC0_4E;
+        let mut pick = |n: usize| (splitmix(&mut seed) % n as u64) as usize;
+        let mut shapes = vec![
+            // 1x1, depthwise, and kernels wider than the input plus one
+            // side's padding (some taps reach no output at all).
+            (3, 4, 1, 1, 1, 0, 5, 6, false),
+            (4, 4, 3, 3, 2, 1, 7, 7, true),
+            (2, 3, 4, 5, 1, 1, 2, 3, false),
+            (1, 2, 5, 3, 3, 2, 1, 4, false),
+            (3, 3, 4, 4, 2, 3, 2, 2, true),
+        ];
+        for _ in 0..300 {
+            let depthwise = pick(4) == 0;
+            let in_c = 1 + pick(4);
+            let out_c = if depthwise { in_c } else { 1 + pick(4) };
+            let (stride, pad) = (1 + pick(3), pick(4));
+            let (kh, kw) = (1 + pick(5), 1 + pick(5));
+            // Inputs down to 1 pixel, as long as the padded input holds
+            // the kernel.
+            let in_h = (1 + pick(9)).max(kh.saturating_sub(2 * pad));
+            let in_w = (1 + pick(9)).max(kw.saturating_sub(2 * pad));
+            shapes.push((in_c, out_c, kh, kw, stride, pad, in_h, in_w, depthwise));
+        }
+        for (in_c, out_c, kh, kw, stride, pad, in_h, in_w, depthwise) in shapes {
+            let spec = ConvSpec {
+                in_c,
+                out_c,
+                kh,
+                kw,
+                stride,
+                pad,
+                in_h,
+                in_w,
+                depthwise,
+            };
+            let per_out = if depthwise { 1 } else { in_c };
+            // Products reach 2^54 and wrap in i32, while the reference's
+            // exact i64 sums stay in range.
+            let input: Vec<i32> = (0..in_c * in_h * in_w)
+                .map(|_| splitmix(&mut seed) as i32 >> 8)
+                .collect();
+            let weights: Vec<i32> = (0..out_c * per_out * kh * kw)
+                .map(|_| splitmix(&mut seed) as i32 >> (splitmix(&mut seed) % 32))
+                .collect();
+            assert_eq!(
+                conv2d(&spec, &input, &weights),
+                conv2d_direct(&spec, &input, &weights),
+                "{spec:?}"
+            );
+        }
+    }
 
     #[test]
     fn gemm_identity() {

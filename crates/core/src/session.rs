@@ -102,16 +102,16 @@ impl SecureChannel {
             });
         }
         self.send_seq += 1;
-        let mut ct = plaintext.to_vec();
+        let mut wire = Vec::with_capacity(24 + plaintext.len());
+        wire.extend_from_slice(&seq.to_be_bytes());
+        wire.extend_from_slice(&[0u8; 16]);
+        wire.extend_from_slice(plaintext);
+        let (head, ct) = wire.split_at_mut(24);
         // Unique counter blocks: (direction ‖ seq) as the version, message
         // offset as the block address.
         self.enc
-            .apply_range(0, Self::direction_bit(self.end) | seq, &mut ct);
-        let mut wire = Vec::with_capacity(24 + ct.len());
-        wire.extend_from_slice(&seq.to_be_bytes());
-        let tag = self.tag(self.end, seq, &ct);
-        wire.extend_from_slice(&tag);
-        wire.extend_from_slice(&ct);
+            .apply_range(0, Self::direction_bit(self.end) | seq, ct);
+        head[8..].copy_from_slice(&self.tag(self.end, seq, ct));
         Ok(wire)
     }
 
@@ -120,26 +120,26 @@ impl SecureChannel {
     /// next expected `seq`. A lower value is a replay; a higher value means
     /// the relaying host *dropped* at least one sealed message in between —
     /// both are authentication failures, so neither endpoint can be made to
-    /// silently skip traffic.
+    /// silently skip traffic. The tag is compared in constant time.
     ///
     /// # Errors
     ///
     /// [`GuardNnError::ChannelAuth`] on malformed input, bad tag, replayed,
     /// dropped-past, or saturating (`u64::MAX`) sequence number.
     pub fn open(&mut self, wire: &[u8]) -> Result<Vec<u8>, GuardNnError> {
-        if wire.len() < 24 {
-            return Err(GuardNnError::ChannelAuth);
-        }
-        // lint:allow(panic-discipline) — wire.len() >= 24 checked above, 8-byte slice is exact
-        let seq = u64::from_be_bytes(wire[..8].try_into().expect("8 bytes"));
-        // lint:allow(panic-discipline) — wire.len() >= 24 checked above, 16-byte slice is exact
-        let tag: [u8; 16] = wire[8..24].try_into().expect("16 bytes");
-        let ct = &wire[24..];
+        let (seq, rest) = wire
+            .split_first_chunk::<8>()
+            .ok_or(GuardNnError::ChannelAuth)?;
+        let (tag, ct) = rest
+            .split_first_chunk::<16>()
+            .ok_or(GuardNnError::ChannelAuth)?;
+        let seq = u64::from_be_bytes(*seq);
         let peer = match self.end {
             ChannelEnd::User => ChannelEnd::Device,
             ChannelEnd::Device => ChannelEnd::User,
         };
-        if self.tag(peer, seq, ct) != tag || seq != self.recv_seq {
+        let tag_ok = guardnn_crypto::ct_eq(&self.tag(peer, seq, ct), tag);
+        if !tag_ok || seq != self.recv_seq {
             return Err(GuardNnError::ChannelAuth);
         }
         // `seal` never emits u64::MAX, so an honest peer cannot reach this
@@ -152,15 +152,13 @@ impl SecureChannel {
         Ok(pt)
     }
 
+    /// The CMAC of `from ‖ seq ‖ ciphertext`.
     fn tag(&self, from: ChannelEnd, seq: u64, ct: &[u8]) -> [u8; 16] {
-        let mut msg = Vec::with_capacity(ct.len() + 9);
-        msg.push(match from {
-            ChannelEnd::User => 0,
-            ChannelEnd::Device => 1,
-        });
-        msg.extend_from_slice(&seq.to_be_bytes());
-        msg.extend_from_slice(ct);
-        self.mac.compute(&msg)
+        let from = match from {
+            ChannelEnd::User => [0],
+            ChannelEnd::Device => [1],
+        };
+        self.mac.compute_parts(&[&from, &seq.to_be_bytes(), ct])
     }
 }
 

@@ -2,9 +2,29 @@
 //!
 //! GuardNN instantiates pipelined AES-128 engines next to the memory
 //! controller for counter-mode encryption of all off-chip traffic. This
-//! module is the functional model of one such engine: a straightforward
-//! table-free implementation of the round function operating on the 4×4
-//! column-major state.
+//! module is the functional model of one such engine.
+//!
+//! Encryption uses the 32-bit table form of the round (Daemen & Rijmen,
+//! *The Design of Rijndael*, 2002): the state is four `u32` columns, and
+//! each inner round computes a column as four lookups into one 256-entry
+//! round table that fuses SubBytes with MixColumns. The other three byte
+//! positions reuse the same table through rotations, ShiftRows is the
+//! choice of source column, and the last round (no MixColumns) looks up
+//! the S-box directly. The table is built from the S-box by a `const fn`.
+//!
+//! Like the byte-wise S-box lookups they replace, the table lookups are
+//! indexed by secret state bytes. The round table is larger, though:
+//! 1 KiB spans 16 cache lines where the 256-B S-box spans 4, so a
+//! cache-timing observer learns more index bits per lookup. This is the
+//! classic T-table attack surface (Osvik, Shamir & Tromer, CT-RSA 2006).
+//! It is accepted here because this crate is a functional model of a
+//! hardware engine, not a software AES for a shared host. The
+//! constant-time alternative is fixslicing (Adomnicai & Peyrin,
+//! "Fixslicing AES-like Ciphers", TCHES 2021). It gains only when several
+//! independent blocks are encrypted at once, and half of the blocks the
+//! serving path encrypts are CMAC, a serial chain, so it is not used.
+//! Decryption keeps the byte-wise inverse rounds; only tests, docs and
+//! benches call it.
 //!
 //! # Example
 //!
@@ -40,6 +60,24 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
+/// The encryption round table: entry `x` is the MixColumns image of the
+/// column `(S[x], 0, 0, 0)`, i.e. the bytes `(2·S[x], S[x], S[x], 3·S[x])`
+/// packed big-endian (row 0 in the top byte). A byte in row `r` of a
+/// column contributes `TE.rotate_right(8 * r)`.
+static TE: [u32; 256] = round_table();
+
+const fn round_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        table[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    table
+}
+
 /// The inverse AES S-box (computed lazily from [`SBOX`]).
 fn inv_sbox() -> &'static [u8; 256] {
     use std::sync::OnceLock;
@@ -55,7 +93,7 @@ fn inv_sbox() -> &'static [u8; 256] {
 
 /// Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial.
 #[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
@@ -73,6 +111,38 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// Byte `row` (0 = top) of a big-endian column word, as a table index.
+#[inline(always)]
+fn row_byte(col: u32, row: u32) -> usize {
+    ((col >> (24 - 8 * row)) & 0xff) as usize
+}
+
+/// One inner-round output column (SubBytes, ShiftRows and MixColumns)
+/// from the four state columns its rows are taken from.
+#[inline(always)]
+fn round_column(c0: u32, c1: u32, c2: u32, c3: u32) -> u32 {
+    TE[row_byte(c0, 0)]
+        ^ TE[row_byte(c1, 1)].rotate_right(8)
+        ^ TE[row_byte(c2, 2)].rotate_right(16)
+        ^ TE[row_byte(c3, 3)].rotate_right(24)
+}
+
+/// One last-round output column (SubBytes and ShiftRows only).
+#[inline(always)]
+fn final_column(c0: u32, c1: u32, c2: u32, c3: u32) -> u32 {
+    u32::from_be_bytes([
+        SBOX[row_byte(c0, 0)],
+        SBOX[row_byte(c1, 1)],
+        SBOX[row_byte(c2, 2)],
+        SBOX[row_byte(c3, 3)],
+    ])
+}
+
+/// Applies the S-box to each byte of a key-schedule word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
 /// An expanded AES-128 key schedule.
 ///
 /// Construct once with [`Aes128::new`] and reuse for any number of block
@@ -81,7 +151,9 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
 /// engine for a whole session.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    /// Round keys as big-endian column words: `round_keys[r][c]` is
+    /// column `c` of round key `r`.
+    round_keys: [[u32; 4]; ROUNDS + 1],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -96,30 +168,23 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands `key` into the 11 round keys of AES-128.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (i, word) in w.iter_mut().take(4).enumerate() {
+            *word =
+                u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
         }
         let mut rcon = 1u8;
-        for i in 4..4 * (ROUNDS + 1) {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for t in temp.iter_mut() {
-                    *t = SBOX[*t as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
                 rcon = xtime(rcon);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+        let mut round_keys = [[0u32; 4]; ROUNDS + 1];
         for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
+            rk.copy_from_slice(&w[4 * r..4 * r + 4]);
         }
         Self { round_keys }
     }
@@ -127,38 +192,71 @@ impl Aes128 {
     /// Encrypts a single 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         guardnn_obs::Recorder::global().add("crypto.aes_blocks", 1);
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+        self.encrypt_uncounted(block)
+    }
+
+    /// [`Aes128::encrypt_block`] without the `crypto.aes_blocks` count:
+    /// CTR and CMAC count a whole range or message in one call.
+    pub(crate) fn encrypt_uncounted(&self, block: &[u8; 16]) -> [u8; 16] {
+        let rk = &self.round_keys;
+        let mut s: [u32; 4] = core::array::from_fn(|c| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ]) ^ rk[0][c]
+        });
+        for k in &rk[1..ROUNDS] {
+            s = [
+                round_column(s[0], s[1], s[2], s[3]) ^ k[0],
+                round_column(s[1], s[2], s[3], s[0]) ^ k[1],
+                round_column(s[2], s[3], s[0], s[1]) ^ k[2],
+                round_column(s[3], s[0], s[1], s[2]) ^ k[3],
+            ];
         }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        state
+        let k = &rk[ROUNDS];
+        let cols = [
+            final_column(s[0], s[1], s[2], s[3]) ^ k[0],
+            final_column(s[1], s[2], s[3], s[0]) ^ k[1],
+            final_column(s[2], s[3], s[0], s[1]) ^ k[2],
+            final_column(s[3], s[0], s[1], s[2]) ^ k[3],
+        ];
+        let mut out = [0u8; 16];
+        for (dst, col) in out.chunks_exact_mut(4).zip(cols) {
+            dst.copy_from_slice(&col.to_be_bytes());
+        }
+        out
+    }
+
+    /// Round key `r` as 16 bytes in FIPS-197 column-major order.
+    fn round_key_bytes(&self, r: usize) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        for (dst, col) in out.chunks_exact_mut(4).zip(self.round_keys[r]) {
+            dst.copy_from_slice(&col.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts a single 16-byte block.
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[ROUNDS]);
+        add_round_key(&mut state, &self.round_key_bytes(ROUNDS));
         inv_shift_rows(&mut state);
         inv_sub_bytes(&mut state);
         for round in (1..ROUNDS).rev() {
-            add_round_key(&mut state, &self.round_keys[round]);
+            add_round_key(&mut state, &self.round_key_bytes(round));
             inv_mix_columns(&mut state);
             inv_shift_rows(&mut state);
             inv_sub_bytes(&mut state);
         }
-        add_round_key(&mut state, &self.round_keys[0]);
+        add_round_key(&mut state, &self.round_key_bytes(0));
         state
     }
 }
 
-// State layout: state[4*c + r] is row r, column c (column-major, as FIPS-197).
+// Byte-wise state layout (decryption and the test reference):
+// state[4*c + r] is row r, column c (column-major, as FIPS-197).
 
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     for (s, k) in state.iter_mut().zip(rk.iter()) {
@@ -166,28 +264,10 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for s in state.iter_mut() {
-        *s = SBOX[*s as usize];
-    }
-}
-
 fn inv_sub_bytes(state: &mut [u8; 16]) {
     let inv = inv_sbox();
     for s in state.iter_mut() {
         *s = inv[*s as usize];
-    }
-}
-
-fn shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let mut row = [0u8; 4];
-        for c in 0..4 {
-            row[c] = state[4 * ((c + r) % 4) + r];
-        }
-        for c in 0..4 {
-            state[4 * c + r] = row[c];
-        }
     }
 }
 
@@ -200,21 +280,6 @@ fn inv_shift_rows(state: &mut [u8; 16]) {
         for c in 0..4 {
             state[4 * c + r] = row[c];
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
     }
 }
 
@@ -245,9 +310,97 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
     }
 }
 
+/// The byte-wise encryption rounds the table form replaced, kept as the
+/// differential reference.
+#[cfg(test)]
+mod bytewise {
+    use super::{add_round_key, xtime, ROUNDS, SBOX};
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for s in state.iter_mut() {
+            *s = SBOX[*s as usize];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        for r in 1..4 {
+            let mut row = [0u8; 4];
+            for c in 0..4 {
+                row[c] = state[4 * ((c + r) % 4) + r];
+            }
+            for c in 0..4 {
+                state[4 * c + r] = row[c];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[4 * c],
+                state[4 * c + 1],
+                state[4 * c + 2],
+                state[4 * c + 3],
+            ];
+            state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
+            state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
+            state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
+            state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+        }
+    }
+
+    /// The byte-wise key expansion: 11 round keys in column-major order.
+    pub(super) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; ROUNDS + 1] {
+        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+        for i in 0..4 {
+            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
+        }
+        let mut rcon = 1u8;
+        for i in 4..4 * (ROUNDS + 1) {
+            let mut temp = w[i - 1];
+            if i % 4 == 0 {
+                temp.rotate_left(1);
+                for t in temp.iter_mut() {
+                    *t = SBOX[*t as usize];
+                }
+                temp[0] ^= rcon;
+                rcon = xtime(rcon);
+            }
+            for j in 0..4 {
+                w[i][j] = w[i - 4][j] ^ temp[j];
+            }
+        }
+        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+        for (r, rk) in round_keys.iter_mut().enumerate() {
+            for c in 0..4 {
+                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+            }
+        }
+        round_keys
+    }
+
+    /// Byte-wise AES-128 encryption of `block` under `key`.
+    pub(super) fn encrypt(key: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
+        let round_keys = expand_key(key);
+        let mut state = *block;
+        add_round_key(&mut state, &round_keys[0]);
+        for rk in &round_keys[1..ROUNDS] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, rk);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &round_keys[ROUNDS]);
+        state
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::splitmix;
 
     /// FIPS-197 Appendix B example.
     #[test]
@@ -346,6 +499,40 @@ mod tests {
         let a = Aes128::new(&[0x00; 16]);
         let b = Aes128::new(&[0x01; 16]);
         assert_ne!(a.encrypt_block(&[0u8; 16]), b.encrypt_block(&[0u8; 16]));
+    }
+
+    fn random_block(state: &mut u64) -> [u8; 16] {
+        let mut b = [0u8; 16];
+        b[..8].copy_from_slice(&splitmix(state).to_le_bytes());
+        b[8..].copy_from_slice(&splitmix(state).to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn table_rounds_match_bytewise_reference() {
+        let mut seed = 0x00A5_1CE5;
+        for _ in 0..64 {
+            let key = random_block(&mut seed);
+            let cipher = Aes128::new(&key);
+            for (r, expected) in bytewise::expand_key(&key).iter().enumerate() {
+                assert_eq!(&cipher.round_key_bytes(r), expected, "round key {r}");
+            }
+            for _ in 0..32 {
+                let block = random_block(&mut seed);
+                let ct = cipher.encrypt_block(&block);
+                assert_eq!(ct, bytewise::encrypt(&key, &block));
+                assert_eq!(cipher.decrypt_block(&ct), block);
+            }
+        }
+    }
+
+    #[test]
+    fn round_table_entries_are_mixed_sbox_columns() {
+        for x in 0..=255u8 {
+            let s = SBOX[x as usize];
+            let expected = [gf_mul(s, 2), s, s, gf_mul(s, 3)];
+            assert_eq!(TE[x as usize].to_be_bytes(), expected, "entry {x:#04x}");
+        }
     }
 
     #[test]

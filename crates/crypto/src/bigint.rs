@@ -5,7 +5,9 @@
 //! (ECDHE–ECDSA in the paper; finite-field DH + Schnorr here — see
 //! DESIGN.md §4). That needs 2048-bit modular arithmetic. This module is a
 //! deliberately small bignum: little-endian `u64` limbs, schoolbook
-//! multiplication, and CIOS Montgomery reduction for fast `modpow`.
+//! multiplication, and CIOS Montgomery reduction for fast `modpow`, which
+//! scans the exponent in fixed 4-bit windows and multiplies into scratch
+//! buffers it reuses for the whole exponentiation.
 //!
 //! # Example
 //!
@@ -285,25 +287,28 @@ impl BigUint {
 
     /// `self mod m` by bitwise long reduction.
     ///
-    /// O(bits(self) · limbs(m)); fine for the one-off reductions the key
-    /// exchange needs (hash outputs, R² seeds). Hot-path modular arithmetic
-    /// goes through [`MontgomeryCtx`].
+    /// O(bits(self) · limbs(m)), shifting one limb buffer in place; fine
+    /// for the one-off reductions the key exchange needs (random
+    /// exponents, hash outputs). Hot-path modular arithmetic goes through
+    /// [`MontgomeryCtx`].
     pub fn rem(&self, m: &Self) -> Self {
         assert!(!m.is_zero(), "modulo by zero");
         if self < m {
             return self.clone();
         }
-        let mut r = Self::zero();
+        // One spare limb holds the bit shifted out of `2r + bit` (< 2m).
+        let mut modulus = m.limbs.clone();
+        modulus.push(0);
+        let mut r = vec![0u64; modulus.len()];
         for i in (0..self.bit_len()).rev() {
-            r = r.shl1();
-            if self.bit(i) {
-                r = r.add(&Self::one());
-            }
-            if &r >= m {
-                r = r.sub(m);
+            shl1_limbs(&mut r, u64::from(self.bit(i)));
+            if ge_limbs(&r, &modulus) {
+                sub_limbs(&mut r, &modulus);
             }
         }
-        r
+        let mut out = Self { limbs: r };
+        out.normalize();
+        out
     }
 
     /// Modular addition `(self + other) mod m`; inputs must already be `< m`.
@@ -328,11 +333,15 @@ impl BigUint {
     }
 }
 
+/// Exponent bits consumed per multiplication in [`MontgomeryCtx::pow`].
+const WINDOW_BITS: usize = 4;
+
 /// Precomputed Montgomery context for a fixed odd modulus.
 ///
 /// Used for every hot modular multiplication in the DH key exchange and
-/// Schnorr signing: 2048-bit `modpow` with CIOS runs in milliseconds even in
-/// debug builds.
+/// Schnorr signing. Multiplication is CIOS Montgomery into a scratch
+/// buffer the caller reuses, so an exponentiation allocates only its
+/// window table and two buffers, however long the exponent.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
     n: BigUint,
@@ -340,8 +349,8 @@ pub struct MontgomeryCtx {
     width: usize,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R^2 mod n` where `R = 2^(64*width)`.
-    r2: BigUint,
+    /// `R^2 mod n` where `R = 2^(64*width)`, as `width` limbs.
+    r2: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -361,13 +370,14 @@ impl MontgomeryCtx {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         let n0_inv = inv.wrapping_neg();
-        // R^2 mod n by 2*width*64 doublings of R mod n... start from 1 and
-        // double 2*width*64 times mod n.
-        let mut r2 = BigUint::one();
+        // R^2 mod n: start from 1 and double 2*width*64 times mod n, in
+        // place. `r < n` before each doubling, so `2r` needs at most one
+        // bit beyond `width` limbs and one subtraction brings it back.
+        let mut r2 = vec![0u64; width];
+        r2[0] = 1;
         for _ in 0..(2 * width * 64) {
-            r2 = r2.shl1();
-            if r2 >= n {
-                r2 = r2.sub(&n);
+            if shl1_limbs(&mut r2, 0) != 0 || ge_limbs(&r2, &n.limbs) {
+                sub_limbs(&mut r2, &n.limbs);
             }
         }
         Self {
@@ -383,17 +393,20 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// CIOS Montgomery multiplication of two width-limb residues.
-    #[allow(clippy::needless_range_loop)]
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// CIOS Montgomery multiplication of two width-limb residues:
+    /// `t[..width] = a · b · R^{-1} mod n`, with `t` (`width + 2` limbs) as
+    /// the whole working space.
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let w = self.width;
-        let mut t = vec![0u64; w + 2];
-        for i in 0..w {
-            // t += a[i] * b
+        let (a, b, n) = (&a[..w], &b[..w], &self.n.limbs[..w]);
+        let t = &mut t[..w + 2];
+        t.fill(0);
+        for &ai in a {
+            // t += ai * b
             let mut carry = 0u128;
-            for j in 0..w {
-                let s = t[j] as u128 + (a[i] as u128) * (b[j] as u128) + carry;
-                t[j] = s as u64;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                let s = *tj as u128 + (ai as u128) * (bj as u128) + carry;
+                *tj = s as u64;
                 carry = s >> 64;
             }
             let s = t[w] as u128 + carry;
@@ -401,10 +414,10 @@ impl MontgomeryCtx {
             t[w + 1] = (s >> 64) as u64;
             // m = t[0] * n0_inv mod 2^64; t += m * n; t >>= 64
             let m = t[0].wrapping_mul(self.n0_inv);
-            let s = t[0] as u128 + (m as u128) * (self.n.limbs[0] as u128);
+            let s = t[0] as u128 + (m as u128) * (n[0] as u128);
             let mut carry = s >> 64;
             for j in 1..w {
-                let s = t[j] as u128 + (m as u128) * (self.n.limbs[j] as u128) + carry;
+                let s = t[j] as u128 + (m as u128) * (n[j] as u128) + carry;
                 t[j - 1] = s as u64;
                 carry = s >> 64;
             }
@@ -414,64 +427,97 @@ impl MontgomeryCtx {
             t[w + 1] = 0;
         }
         // Final conditional subtraction.
-        let mut res = t[..w].to_vec();
-        let overflow = t[w] != 0;
-        if overflow || ge_limbs(&res, &self.n.limbs) {
-            sub_limbs(&mut res, &self.n.limbs);
+        if t[w] != 0 || ge_limbs(&t[..w], n) {
+            sub_limbs(&mut t[..w], n);
         }
-        res
     }
 
-    /// Converts into Montgomery form (`a * R mod n`).
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let a = if a >= &self.n {
-            a.rem(&self.n)
+    /// `a` reduced mod `n`, as `width` limbs.
+    fn residue(&self, a: &BigUint) -> Vec<u64> {
+        let mut limbs = if a >= &self.n {
+            a.rem(&self.n).limbs
         } else {
-            a.clone()
+            a.limbs.clone()
         };
-        let mut al = a.limbs.clone();
-        al.resize(self.width, 0);
-        let mut r2 = self.r2.limbs.clone();
-        r2.resize(self.width, 0);
-        self.mont_mul(&al, &r2)
+        limbs.resize(self.width, 0);
+        limbs
     }
 
-    /// Converts out of Montgomery form.
-    fn reduce_from_mont(&self, a: &[u64]) -> BigUint {
-        let one = {
-            let mut v = vec![0u64; self.width];
-            v[0] = 1;
-            v
-        };
+    /// Converts out of Montgomery form, using `t` as scratch.
+    fn reduce_from_mont(&self, a: &[u64], t: &mut [u64]) -> BigUint {
+        let mut one = vec![0u64; self.width];
+        one[0] = 1;
+        self.mont_mul(a, &one, t);
         let mut r = BigUint {
-            limbs: self.mont_mul(a, &one),
+            limbs: t[..self.width].to_vec(),
         };
         r.normalize();
         r
     }
 
-    /// Modular multiplication `(a * b) mod n`.
+    /// Modular multiplication `(a * b) mod n`: `REDC(REDC(a·b) · R²)`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.reduce_from_mont(&self.mont_mul(&am, &bm))
+        let mut t = vec![0u64; self.width + 2];
+        self.mont_mul(&self.residue(a), &self.residue(b), &mut t);
+        let ab = t[..self.width].to_vec();
+        self.mont_mul(&ab, &self.r2, &mut t);
+        let mut r = BigUint {
+            limbs: t[..self.width].to_vec(),
+        };
+        r.normalize();
+        r
     }
 
-    /// Modular exponentiation `base^exp mod n` (left-to-right square & multiply).
+    /// Modular exponentiation `base^exp mod n`, left to right with a fixed
+    /// window of four exponent bits per table multiplication.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one().rem(&self.n);
         }
-        let bm = self.to_mont(base);
-        let mut acc = bm.clone();
-        for i in (0..exp.bit_len() - 1).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &bm);
+        let w = self.width;
+        let mut t = vec![0u64; w + 2];
+        // table[d] = base^d in Montgomery form, for every window digit d.
+        let mut table = vec![0u64; (1 << WINDOW_BITS) * w];
+        self.mont_mul(&self.residue(base), &self.r2, &mut t);
+        table[w..2 * w].copy_from_slice(&t[..w]);
+        for d in 2..1 << WINDOW_BITS {
+            let (lower, upper) = table.split_at_mut(d * w);
+            self.mont_mul(&lower[(d - 1) * w..], &lower[w..2 * w], &mut t);
+            upper[..w].copy_from_slice(&t[..w]);
+        }
+        let windows = exp.bit_len().div_ceil(WINDOW_BITS);
+        let digit = |i: usize| {
+            (0..WINDOW_BITS).fold(0usize, |d, b| {
+                d | (usize::from(exp.bit(i * WINDOW_BITS + b)) << b)
+            })
+        };
+        // The top window holds the top set bit, so its digit is nonzero.
+        let top = digit(windows - 1);
+        let mut acc = table[top * w..(top + 1) * w].to_vec();
+        for i in (0..windows - 1).rev() {
+            for _ in 0..WINDOW_BITS {
+                self.mont_mul(&acc, &acc, &mut t);
+                acc.copy_from_slice(&t[..w]);
+            }
+            let d = digit(i);
+            if d != 0 {
+                self.mont_mul(&acc, &table[d * w..(d + 1) * w], &mut t);
+                acc.copy_from_slice(&t[..w]);
             }
         }
-        self.reduce_from_mont(&acc)
+        self.reduce_from_mont(&acc, &mut t)
     }
+}
+
+/// `a = 2a + carry_in` in place; returns the bit shifted out of the top.
+fn shl1_limbs(a: &mut [u64], carry_in: u64) -> u64 {
+    let mut carry = carry_in;
+    for limb in a.iter_mut() {
+        let out = *limb >> 63;
+        *limb = (*limb << 1) | carry;
+        carry = out;
+    }
+    carry
 }
 
 /// `a >= b` for equal-width limb slices.
@@ -505,6 +551,7 @@ fn sub_limbs(a: &mut [u64], b: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::splitmix;
 
     fn n(v: u64) -> BigUint {
         BigUint::from(v)
@@ -588,15 +635,10 @@ mod tests {
         let m = BigUint::from_hex("f0000000000000000000000000000001");
         let base = BigUint::from_hex("123456789abcdef0fedcba9876543210");
         let exp = n(65537);
-        // Naive square-and-multiply using mul + rem.
-        let mut naive = BigUint::one();
-        for i in (0..exp.bit_len()).rev() {
-            naive = naive.mul(&naive).rem(&m);
-            if exp.bit(i) {
-                naive = naive.mul(&base).rem(&m);
-            }
-        }
-        assert_eq!(base.modpow(&exp, &m), naive);
+        assert_eq!(
+            base.modpow(&exp, &m),
+            pow_reference(&base.rem(&m), &exp, &m)
+        );
     }
 
     #[test]
@@ -606,6 +648,107 @@ mod tests {
         let a = BigUint::from_hex("0123456789abcdef0123456789abcdef0123456789abcdef");
         let b = BigUint::from_hex("fedcba9876543210fedcba9876543210fedcba9876543210");
         assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m));
+    }
+
+    /// A random value of exactly `bits` bits (0 for `bits == 0`).
+    fn random_bits(state: &mut u64, bits: usize) -> BigUint {
+        let mut limbs: Vec<u64> = (0..bits.div_ceil(64)).map(|_| splitmix(state)).collect();
+        if let Some(top) = limbs.last_mut() {
+            let used = bits - 64 * (bits.div_ceil(64) - 1);
+            *top &= u64::MAX >> (64 - used);
+            *top |= 1 << (used - 1);
+        }
+        let mut out = BigUint { limbs };
+        out.normalize();
+        out
+    }
+
+    /// The allocating shift-and-subtract reduction `rem` replaced.
+    fn rem_reference(a: &BigUint, m: &BigUint) -> BigUint {
+        let mut r = BigUint::zero();
+        for i in (0..a.bit_len()).rev() {
+            r = r.shl1();
+            if a.bit(i) {
+                r = r.add(&BigUint::one());
+            }
+            if &r >= m {
+                r = r.sub(m);
+            }
+        }
+        r
+    }
+
+    /// Binary square-and-multiply with `mul` and `rem`, no Montgomery.
+    fn pow_reference(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = BigUint::one().rem(m);
+        for i in (0..exp.bit_len()).rev() {
+            acc = acc.mul(&acc).rem(m);
+            if exp.bit(i) {
+                acc = acc.mul(base).rem(m);
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn rem_matches_reference() {
+        let mut seed = 0x5EED;
+        for (a_bits, m_bits) in [
+            (1, 1),
+            (64, 3),
+            (200, 64),
+            (256, 768),
+            (1030, 767),
+            (2056, 2047),
+        ] {
+            let a = random_bits(&mut seed, a_bits);
+            let m = random_bits(&mut seed, m_bits);
+            assert_eq!(
+                a.rem(&m),
+                rem_reference(&a, &m),
+                "{a_bits} mod {m_bits} bits"
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_pow_matches_square_and_multiply() {
+        let mut seed = 0xC0FFEE;
+        for (mod_bits, exp_lens) in [
+            (
+                768,
+                &[
+                    0usize, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257, 767, 768,
+                ][..],
+            ),
+            (2048, &[0, 1, 3, 4, 5, 8, 12, 16, 17, 64, 129][..]),
+        ] {
+            for _ in 0..2 {
+                let mut m = random_bits(&mut seed, mod_bits);
+                if !m.bit(0) {
+                    m = m.add(&BigUint::one());
+                }
+                let ctx = MontgomeryCtx::new(m.clone());
+                let base = random_bits(&mut seed, mod_bits + 5);
+                for &len in exp_lens {
+                    let exp = random_bits(&mut seed, len);
+                    let expected = pow_reference(&base.rem(&m), &exp, &m);
+                    assert_eq!(
+                        ctx.pow(&base, &exp),
+                        expected,
+                        "{mod_bits}-bit modulus, {len}-bit exponent"
+                    );
+                }
+                // Exponents of all ones and a single set bit stress every window digit.
+                for exp in [
+                    BigUint::from(0xFFFF_u64),
+                    BigUint::from(0x1_0000_u64),
+                    BigUint::one(),
+                ] {
+                    assert_eq!(ctx.pow(&base, &exp), pow_reference(&base.rem(&m), &exp, &m));
+                }
+            }
+        }
     }
 
     #[test]

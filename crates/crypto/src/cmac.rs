@@ -59,43 +59,75 @@ impl Cmac {
 
     /// Computes the 16-byte CMAC tag of `message`.
     pub fn compute(&self, message: &[u8]) -> [u8; 16] {
-        guardnn_obs::Recorder::global().add("crypto.cmac_tags", 1);
-        let n_blocks = message.len().div_ceil(16).max(1);
-        let last_complete = !message.is_empty() && message.len().is_multiple_of(16);
+        self.compute_parts(&[message])
+    }
 
+    /// Computes the CMAC tag of the concatenation of `parts`, without
+    /// building the concatenated message.
+    ///
+    /// ```
+    /// use guardnn_crypto::cmac::Cmac;
+    ///
+    /// let cmac = Cmac::new(&[5u8; 16]);
+    /// let tag = cmac.compute_parts(&[b"ciphertext", &7u64.to_be_bytes()]);
+    /// assert_eq!(tag, cmac.compute(b"ciphertext\0\0\0\0\0\0\0\x07"));
+    /// ```
+    pub fn compute_parts(&self, parts: &[&[u8]]) -> [u8; 16] {
         let mut x = [0u8; 16];
-        for i in 0..n_blocks - 1 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&message[16 * i..16 * i + 16]);
-            for (xb, mb) in x.iter_mut().zip(block.iter()) {
-                *xb ^= mb;
+        // Pending message bytes. A full buffer is only chained once more
+        // input follows, because the final block is masked with a subkey.
+        let mut buf = [0u8; 16];
+        let mut fill = 0usize;
+        let mut blocks = 1u64;
+        for part in parts {
+            let mut rest: &[u8] = part;
+            while !rest.is_empty() {
+                if fill == 16 {
+                    xor_into(&mut x, &buf);
+                    x = self.cipher.encrypt_uncounted(&x);
+                    blocks += 1;
+                    fill = 0;
+                }
+                if fill == 0 {
+                    while rest.len() > 16 {
+                        let (block, tail) = rest.split_at(16);
+                        xor_into(&mut x, block);
+                        x = self.cipher.encrypt_uncounted(&x);
+                        blocks += 1;
+                        rest = tail;
+                    }
+                }
+                let take = rest.len().min(16 - fill);
+                buf[fill..fill + take].copy_from_slice(&rest[..take]);
+                fill += take;
+                rest = &rest[take..];
             }
-            x = self.cipher.encrypt_block(&x);
         }
-
-        let mut last = [0u8; 16];
-        let tail = &message[16 * (n_blocks - 1)..];
-        if last_complete {
-            last.copy_from_slice(tail);
-            for (l, k) in last.iter_mut().zip(self.k1.iter()) {
-                *l ^= k;
-            }
+        let subkey = if fill == 16 {
+            &self.k1
         } else {
-            last[..tail.len()].copy_from_slice(tail);
-            last[tail.len()] = 0x80;
-            for (l, k) in last.iter_mut().zip(self.k2.iter()) {
-                *l ^= k;
-            }
-        }
-        for (xb, lb) in x.iter_mut().zip(last.iter()) {
-            *xb ^= lb;
-        }
-        self.cipher.encrypt_block(&x)
+            buf[fill] = 0x80;
+            buf[fill + 1..].fill(0);
+            &self.k2
+        };
+        xor_into(&mut buf, subkey);
+        xor_into(&mut x, &buf);
+        let rec = guardnn_obs::Recorder::global();
+        rec.add("crypto.cmac_tags", 1);
+        rec.add("crypto.aes_blocks", blocks);
+        self.cipher.encrypt_uncounted(&x)
     }
 
     /// Verifies a tag in constant time.
     pub fn verify(&self, message: &[u8], tag: &[u8; 16]) -> bool {
         crate::ct_eq(&self.compute(message), tag)
+    }
+}
+
+/// `x ^= block` for a 16-byte block.
+fn xor_into(x: &mut [u8; 16], block: &[u8]) {
+    for (xb, b) in x.iter_mut().zip(block) {
+        *xb ^= b;
     }
 }
 
@@ -182,6 +214,22 @@ mod tests {
         let mut bad_tag = tag;
         bad_tag[15] ^= 0x80;
         assert!(!cmac.verify(msg, &bad_tag));
+    }
+
+    #[test]
+    fn parts_equal_the_concatenated_message() {
+        let cmac = Cmac::new(&KEY);
+        let msg: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in [0, 1, 15, 16, 17, 32, 40, 64, 200] {
+            let msg = &msg[..len];
+            let whole = cmac.compute(msg);
+            for a in 0..=len.min(48) {
+                for b in a..=len.min(a + 33) {
+                    let parts: [&[u8]; 4] = [&msg[..a], &[], &msg[a..b], &msg[b..]];
+                    assert_eq!(cmac.compute_parts(&parts), whole, "len {len} split {a}/{b}");
+                }
+            }
+        }
     }
 
     #[test]

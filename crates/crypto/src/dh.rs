@@ -67,6 +67,8 @@ struct GroupInner {
     g: BigUint,
     q: BigUint,
     ctx: MontgomeryCtx,
+    /// Montgomery context of the order `q`, for signature arithmetic.
+    q_ctx: MontgomeryCtx,
     name: &'static str,
 }
 
@@ -75,12 +77,14 @@ impl DhGroup {
         let p = BigUint::from_hex(hex);
         let q = p.sub(&BigUint::one()).shr1();
         let ctx = MontgomeryCtx::new(p.clone());
+        let q_ctx = MontgomeryCtx::new(q.clone());
         Self {
             inner: Arc::new(GroupInner {
                 p,
                 g: BigUint::from(2u64),
                 q,
                 ctx,
+                q_ctx,
                 name,
             }),
         }
@@ -132,6 +136,11 @@ impl DhGroup {
     /// `a * b mod p`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         self.inner.ctx.mul_mod(a, b)
+    }
+
+    /// `a * b mod q`, in the Montgomery context built with the group.
+    pub(crate) fn mul_mod_order(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        self.inner.q_ctx.mul_mod(a, b)
     }
 
     /// Samples a private exponent uniformly in `[1, q)`.

@@ -6,17 +6,21 @@
 //! verification, a hash for remote attestation, a true random number
 //! generator, and a public-key key-exchange/signature scheme run on an
 //! embedded microcontroller. This crate implements software models of all of
-//! those building blocks with no external dependencies:
+//! those building blocks in safe Rust with no external dependencies:
 //!
-//! * [`aes`] — AES-128 block cipher (FIPS-197).
+//! * [`aes`] — AES-128 block cipher (FIPS-197); encryption runs in the
+//!   32-bit table form (one `u32` per state column, one round table).
 //! * [`ctr`] — AES counter mode with the GuardNN counter-block layout
 //!   (physical block address ‖ version number).
-//! * [`cmac`] — AES-CMAC (RFC 4493) used for per-chunk memory MACs.
+//! * [`cmac`] — AES-CMAC (RFC 4493) used for per-chunk memory MACs; a
+//!   message may be given as several byte slices, so callers MAC data
+//!   plus address and version without concatenating them.
 //! * [`sha256`] — SHA-256 (FIPS 180-4) used for attestation hash chains.
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 2104 / RFC 5869) for session-key
 //!   derivation.
 //! * [`bigint`] — minimal arbitrary-precision unsigned integers with
-//!   Montgomery modular exponentiation, supporting the key exchange.
+//!   fixed-window Montgomery modular exponentiation on reused limb
+//!   buffers, supporting the key exchange.
 //! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 MODP groups
 //!   (the repo's stand-in for the paper's ECDHE; see DESIGN.md §4).
 //! * [`schnorr`] — Schnorr signatures over the same groups (stand-in for
@@ -73,8 +77,17 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// splitmix64, the seeded source of the crate's differential tests.
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn ct_eq_equal() {

@@ -25,7 +25,7 @@
 //! assert!(sk.verifying_key().verify(b"attestation report", &sig));
 //! ```
 
-use crate::bigint::{BigUint, MontgomeryCtx};
+use crate::bigint::BigUint;
 use crate::dh::DhGroup;
 use crate::rng::TrngModel;
 use crate::sha256::Sha256;
@@ -141,8 +141,7 @@ impl SigningKey {
         let r = self.group.pow_g(&k);
         let e = challenge(&self.group, &r, message);
         // s = k + e*x mod q
-        let qctx = MontgomeryCtx::new(q.clone());
-        let ex = qctx.mul_mod(&e, &self.x);
+        let ex = self.group.mul_mod_order(&e, &self.x);
         let s = k.add_mod(&ex, q);
         Signature { e, s }
     }

@@ -6,6 +6,14 @@
 //! binding (ciphertext, address, VN), and exposes the raw ciphertext plus
 //! tamper/replay hooks so adversary experiments can run against it.
 //!
+//! Storage is sparse by 4 KiB page, and every operation works on page
+//! slices: a write encrypts each page span in place, a chunk MAC is taken
+//! straight over the page bytes plus the address and VN (a 512-byte chunk
+//! never straddles a page), and a read copies page slices into the buffer
+//! it returns and decrypts there. Pages that were never written read as
+//! zeros and are not created by reads, so [`ProtectedMemory::page_count`]
+//! counts only the pages a write or an adversary hook touched.
+//!
 //! # Example
 //!
 //! ```
@@ -24,6 +32,9 @@ use std::collections::HashMap;
 /// Chunk granularity of integrity MACs (the prototype accelerator writes
 /// 512-byte chunks).
 pub const CHUNK_BYTES: u64 = 512;
+
+/// Storage granularity: ciphertext is kept sparse by 4 KiB page.
+const PAGE_BYTES: u64 = 4096;
 
 /// Error returned when integrity verification fails on a read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,36 +100,48 @@ impl ProtectedMemory {
         self.pages.len()
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8; 4096] {
+    /// The stored bytes of `[addr, addr + len)`, where the range lies
+    /// within one page; `None` for a page never written (it reads as
+    /// zeros).
+    fn page_slice(&self, addr: u64, len: usize) -> Option<&[u8]> {
+        let start = (addr % PAGE_BYTES) as usize;
         self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; 4096]))
+            .get(&(addr / PAGE_BYTES))
+            .map(|p| &p[start..start + len])
+    }
+
+    /// Splits `[addr, addr + len)` at page boundaries into
+    /// `(address, offset into the range, length)` spans.
+    fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+        let mut offset = 0usize;
+        std::iter::from_fn(move || {
+            if offset >= len {
+                return None;
+            }
+            let a = addr + offset as u64;
+            let take = (len - offset).min((PAGE_BYTES - a % PAGE_BYTES) as usize);
+            let span = (a, offset, take);
+            offset += take;
+            Some(span)
+        })
     }
 
     fn raw_write(&mut self, addr: u64, data: &[u8]) {
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let a = addr + offset as u64;
-            let page = a / 4096;
-            let in_page = (a % 4096) as usize;
-            let take = data.len().min(offset + 4096 - in_page) - offset;
-            self.page_mut(page)[in_page..in_page + take]
+        for (a, offset, take) in Self::page_spans(addr, data.len()) {
+            let start = (a % PAGE_BYTES) as usize;
+            page_entry(&mut self.pages, a / PAGE_BYTES)[start..start + take]
                 .copy_from_slice(&data[offset..offset + take]);
-            offset += take;
         }
     }
 
     /// Raw ciphertext view `[addr, addr + len)` — what a physical attacker
     /// probing the DRAM bus sees.
     pub fn raw(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len as u64 {
-            let a = addr + i;
-            let byte = self
-                .pages
-                .get(&(a / 4096))
-                .map_or(0, |p| p[(a % 4096) as usize]);
-            out.push(byte);
+        let mut out = vec![0u8; len];
+        for (a, offset, take) in Self::page_spans(addr, len) {
+            if let Some(stored) = self.page_slice(a, take) {
+                out[offset..offset + take].copy_from_slice(stored);
+            }
         }
         out
     }
@@ -132,9 +155,14 @@ impl ProtectedMemory {
     /// granularity the engine operates at).
     pub fn write(&mut self, addr: u64, plaintext: &[u8], vn: u64) {
         assert!(addr.is_multiple_of(16), "writes must be 16-byte aligned");
-        let mut ct = plaintext.to_vec();
-        self.ctr.apply_range(addr, vn, &mut ct);
-        self.raw_write(addr, &ct);
+        // Spans start 16-byte aligned (at `addr` or a page boundary), so
+        // each one is encrypted in place with its own counter blocks.
+        for (a, offset, take) in Self::page_spans(addr, plaintext.len()) {
+            let start = (a % PAGE_BYTES) as usize;
+            let span = &mut page_entry(&mut self.pages, a / PAGE_BYTES)[start..start + take];
+            span.copy_from_slice(&plaintext[offset..offset + take]);
+            self.ctr.apply_range(a, vn, span);
+        }
         if self.cmac.is_some() {
             let first_chunk = addr / CHUNK_BYTES;
             let last_chunk = (addr + plaintext.len() as u64 - 1) / CHUNK_BYTES;
@@ -144,18 +172,21 @@ impl ProtectedMemory {
         }
     }
 
-    fn mac_message(&self, chunk_addr: u64, vn: u64) -> Vec<u8> {
-        let mut msg = self.raw(chunk_addr, CHUNK_BYTES as usize);
-        msg.extend_from_slice(&chunk_addr.to_be_bytes());
-        msg.extend_from_slice(&vn.to_be_bytes());
-        msg
+    /// The CMAC of the chunk at `chunk_addr` under `vn`: over the chunk's
+    /// stored bytes, then the address and the VN (big-endian).
+    fn chunk_mac(&self, cmac: &Cmac, chunk_addr: u64, vn: u64) -> [u8; 16] {
+        const ZEROS: [u8; CHUNK_BYTES as usize] = [0u8; CHUNK_BYTES as usize];
+        let data = self
+            .page_slice(chunk_addr, CHUNK_BYTES as usize)
+            .unwrap_or(&ZEROS);
+        cmac.compute_parts(&[data, &chunk_addr.to_be_bytes(), &vn.to_be_bytes()])
     }
 
     fn refresh_mac(&mut self, chunk_addr: u64, vn: u64) {
-        let msg = self.mac_message(chunk_addr, vn);
-        // lint:allow(panic-discipline) — refresh_mac is only reached on the integrity-enabled path
-        let mac = self.cmac.as_ref().expect("integrity enabled").compute(&msg);
-        self.macs.insert(chunk_addr, mac);
+        if let Some(cmac) = &self.cmac {
+            let mac = self.chunk_mac(cmac, chunk_addr, vn);
+            self.macs.insert(chunk_addr, mac);
+        }
     }
 
     /// Reads and decrypts `[addr, addr + len)` with version `vn`,
@@ -176,9 +207,8 @@ impl ProtectedMemory {
             let last_chunk = (addr + len as u64 - 1) / CHUNK_BYTES;
             for chunk in first_chunk..=last_chunk {
                 let chunk_addr = chunk * CHUNK_BYTES;
-                let msg = self.mac_message(chunk_addr, vn);
                 let stored = self.macs.get(&chunk_addr).copied().unwrap_or([0u8; 16]);
-                if !cmac.verify(&msg, &stored) {
+                if !guardnn_crypto::ct_eq(&self.chunk_mac(cmac, chunk_addr, vn), &stored) {
                     return Err(VerifyChunkError { chunk_addr });
                 }
             }
@@ -190,9 +220,7 @@ impl ProtectedMemory {
 
     /// Adversary hook: flip bits in the stored ciphertext.
     pub fn tamper(&mut self, addr: u64, xor_mask: u8) {
-        let page = addr / 4096;
-        let in_page = (addr % 4096) as usize;
-        self.page_mut(page)[in_page] ^= xor_mask;
+        page_entry(&mut self.pages, addr / PAGE_BYTES)[(addr % PAGE_BYTES) as usize] ^= xor_mask;
     }
 
     /// Adversary hook: overwrite a chunk's stored MAC.
@@ -221,6 +249,11 @@ impl ProtectedMemory {
             }
         }
     }
+}
+
+/// The page `page` of `pages`, created zeroed on first touch.
+fn page_entry(pages: &mut HashMap<u64, Box<[u8; 4096]>>, page: u64) -> &mut [u8; 4096] {
+    pages.entry(page).or_insert_with(|| Box::new([0u8; 4096]))
 }
 
 #[cfg(test)]
@@ -328,6 +361,35 @@ mod tests {
         let data = vec![0x77u8; 8192];
         mem.write(4096 - 512, &data, 9);
         assert_eq!(mem.read(4096 - 512, 8192, 9).unwrap(), data);
+    }
+
+    #[test]
+    fn chunk_mac_covers_stored_bytes_address_and_vn() {
+        let mut mem = mem_ci();
+        mem.write(4096 + 512, &[0x3C; 700], 4);
+        let cmac = Cmac::new(&[2u8; 16]);
+        for chunk_addr in [4096 + 512, 4096 + 1024] {
+            let mut msg = mem.raw(chunk_addr, CHUNK_BYTES as usize);
+            msg.extend_from_slice(&chunk_addr.to_be_bytes());
+            msg.extend_from_slice(&4u64.to_be_bytes());
+            assert_eq!(mem.macs[&chunk_addr], cmac.compute(&msg));
+        }
+    }
+
+    #[test]
+    fn reads_never_create_pages() {
+        let mut mem = mem_ci();
+        mem.write(4096, &[1u8; 32], 1);
+        assert_eq!(mem.page_count(), 1);
+        let raw = mem.raw(0, 3 * 4096);
+        assert!(raw[..4096].iter().chain(&raw[4096 + 32..]).all(|&b| b == 0));
+        assert_eq!(raw[4096..4096 + 32], mem.raw(4096, 32));
+        assert!(
+            mem.read(0, 3 * 4096, 1).is_err(),
+            "unwritten chunks have no MAC"
+        );
+        assert_eq!(mem.read(4096, 32, 1).unwrap(), [1u8; 32]);
+        assert_eq!(mem.page_count(), 1, "reads and raw views create no page");
     }
 
     #[test]

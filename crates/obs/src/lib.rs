@@ -161,11 +161,16 @@ impl Recorder {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    /// Adds `n` to the counter `name`.
+    /// Adds `n` to the counter `name`. Only the first update of a
+    /// counter allocates its name.
     pub fn add(&self, name: &str, n: u64) {
         if let Some(mut st) = self.lock() {
-            let c = st.counters.entry(name.to_string()).or_insert(0);
-            *c = c.saturating_add(n);
+            match st.counters.get_mut(name) {
+                Some(c) => *c = c.saturating_add(n),
+                None => {
+                    st.counters.insert(name.to_string(), n);
+                }
+            }
         }
     }
 

@@ -358,6 +358,17 @@ impl HardwareTarget {
                 return bad(path, "must be at least 1");
             }
         }
+        // The address map hashes the bank-in-group and rank indices with
+        // row bits by XOR, which stays inside `[0, n)` only when `n` is a
+        // power of two (as on every JEDEC DDR4 and LPDDR4 part).
+        for (path, v) in [
+            ("dram.ranks", d.ranks),
+            ("dram.banks_per_group", d.banks_per_group),
+        ] {
+            if !v.is_power_of_two() {
+                return bad(path, "must be a power of two");
+            }
+        }
         // The DRAM channel scheduler keeps its window in a 128-slot ring
         // that must also hold the request being pushed.
         if d.sched_window > 127 {
@@ -615,6 +626,12 @@ mod tests {
                 "  sched_window: 64\n",
                 "  sched_window: 128\n",
                 "dram.sched_window",
+            ),
+            ("  ranks: 2\n", "  ranks: 3\n", "dram.ranks"),
+            (
+                "  banks_per_group: 4\n",
+                "  banks_per_group: 5\n",
+                "dram.banks_per_group",
             ),
             (
                 "  compute_efficiency: 0.75\n",

@@ -3,13 +3,58 @@
 use guardnn_crypto::cmac::Cmac;
 use guardnn_crypto::ctr::AesCtr;
 use guardnn_crypto::sha256::Sha256;
+use guardnn_dram::{DramConfig, DramSink, DramSystem};
 use guardnn_memprot::cache::MetaCache;
 use guardnn_memprot::functional::ProtectedMemory;
 use guardnn_memprot::vn::VersionCounters;
 use guardnn_models::graph::ExecutionPlan;
 use guardnn_models::layer::{conv, fc};
 use guardnn_models::{ConvSpec, Network, Op};
+use guardnn_targets::{builtin_targets, registry, HardwareTarget, TargetError};
 use proptest::prelude::*;
+
+/// Parses `text` and validates whatever parses: every outcome must be
+/// `Ok` or a typed error, never a panic (the caller's test would fail).
+fn parse_and_validate(text: &str) -> Result<HardwareTarget, TargetError> {
+    let target = HardwareTarget::parse(text)?;
+    target.validate()?;
+    Ok(target)
+}
+
+/// One mutation of a target file, picked by `op`: a byte replaced, a line
+/// dropped, duplicated or swapped with its successor, or a line's
+/// indentation grown or shrunk.
+fn mutate(text: &str, op: u64) -> String {
+    let pick = |n: usize| ((op >> 8) % n.max(1) as u64) as usize;
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let i = pick(lines.len());
+    match op % 6 {
+        0 => {
+            let mut bytes = text.as_bytes().to_vec();
+            let at = pick(bytes.len());
+            bytes[at] = (op >> 40) as u8;
+            return String::from_utf8_lossy(&bytes).into_owned();
+        }
+        1 => {
+            lines.remove(i);
+        }
+        2 => {
+            let line = lines[i].clone();
+            lines.insert(i, line);
+        }
+        3 if i + 1 < lines.len() => lines.swap(i, i + 1),
+        4 => lines[i].insert_str(0, &" ".repeat(1 + (op >> 40) as usize % 3)),
+        _ => {
+            let trimmed = lines[i].trim_start().to_string();
+            let indent = lines[i].len() - trimmed.len();
+            lines[i] = format!(
+                "{}{trimmed}",
+                " ".repeat(indent.saturating_sub(1 + (op >> 40) as usize % 2))
+            );
+        }
+    }
+    lines.join("\n") + "\n"
+}
 
 proptest! {
     /// AES-CTR is an involution for any (address, version, data).
@@ -56,21 +101,55 @@ proptest! {
         prop_assert_eq!(h.finalize(), Sha256::digest(&data));
     }
 
-    /// Protected memory round-trips any aligned write under any VN, and
-    /// the stored bytes never equal the plaintext.
+    /// Protected memory against a flat byte-array model of the DRAM
+    /// ciphertext: overlapping aligned writes under one VN, across page
+    /// and chunk boundaries, leave exactly the model's bytes in DRAM
+    /// (zeros where nothing was written), every written range reads back
+    /// its latest plaintext, and only written pages exist.
     #[test]
     fn protected_memory_round_trip(
-        addr in (0u64..1 << 20).prop_map(|a| a & !0xF),
+        base in (0u64..1 << 20).prop_map(|a| a & !0xF),
         vn in any::<u64>(),
-        data in proptest::collection::vec(any::<u8>(), 16..256),
+        writes in proptest::collection::vec(any::<u64>(), 1..6),
+        fill in any::<u8>(),
     ) {
-        let mut mem = ProtectedMemory::new(&[0x66; 16], Some([0x77; 16]));
-        mem.write(addr, &data, vn);
-        let back = mem.read(addr, data.len(), vn).expect("verified read");
-        prop_assert_eq!(&back, &data);
-        // 16+ bytes of randomized CTR output colliding with plaintext is
-        // astronomically unlikely.
-        prop_assert_ne!(mem.raw(addr, data.len()), data);
+        // A window of three pages plus a chunk, from any aligned start.
+        const SPAN: usize = 3 * 4096 + 512;
+        let key = [0x66; 16];
+        let mut mem = ProtectedMemory::new(&key, Some([0x77; 16]));
+        let ctr = AesCtr::new(&key);
+        let mut model = vec![0u8; SPAN];
+        let mut ranges = Vec::new();
+        for (i, w) in writes.iter().enumerate() {
+            let offset = (w % (SPAN as u64 - 16)) as usize & !0xF;
+            let len = 1 + (w >> 32) as usize % (SPAN - offset).min(2100);
+            let data: Vec<u8> = (0..len).map(|j| fill ^ (i * 31 + j) as u8).collect();
+            let addr = base + offset as u64;
+            mem.write(addr, &data, vn);
+            let mut ct = data.clone();
+            ctr.apply_range(addr, vn, &mut ct);
+            model[offset..offset + len].copy_from_slice(&ct);
+            ranges.push((offset, len, data));
+        }
+        prop_assert_eq!(mem.raw(base, SPAN), model.clone());
+        for (offset, len, _) in &ranges {
+            let back = mem.read(base + *offset as u64, *len, vn).expect("verified read");
+            let mut expected = model[*offset..offset + len].to_vec();
+            ctr.apply_range(base + *offset as u64, vn, &mut expected);
+            prop_assert_eq!(back, expected);
+        }
+        let (offset, len, data) = ranges.last().expect("at least one write");
+        prop_assert_eq!(&mem.read(base + *offset as u64, *len, vn).expect("verified"), data);
+        if *len >= 16 {
+            // 16+ bytes of randomized CTR output colliding with plaintext
+            // is astronomically unlikely.
+            prop_assert_ne!(&mem.raw(base + *offset as u64, *len), data);
+        }
+        let pages: std::collections::BTreeSet<u64> = ranges
+            .iter()
+            .flat_map(|(o, l, _)| (base + *o as u64) / 4096..=(base + (o + l - 1) as u64) / 4096)
+            .collect();
+        prop_assert_eq!(mem.page_count(), pages.len());
     }
 
     /// Any tamper of any ciphertext byte inside a MACed chunk is detected.
@@ -149,5 +228,72 @@ proptest! {
                 .all(|p| p.kind == guardnn_models::graph::PassKind::Forward));
         }
         prop_assert!(plan.total_bytes(1) > 0);
+    }
+
+    /// The target parser never panics: arbitrary bytes, and byte, line and
+    /// indentation mutations of every built-in target file, parse and
+    /// validate to `Ok` or a typed `TargetError`.
+    #[test]
+    fn target_parser_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0..400),
+        ops in proptest::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let _ = parse_and_validate(&String::from_utf8_lossy(&noise));
+        for name in registry::names() {
+            let source = registry::source(name).expect("registered target has a source");
+            let mut text = source.to_string();
+            for &op in &ops {
+                text = mutate(&text, op);
+                let _ = parse_and_validate(&text);
+            }
+        }
+    }
+
+    /// Whatever geometry and timing `validate` accepts simulates: a short
+    /// mixed run of single accesses and block ranges drains without a
+    /// panic and counts every request pushed.
+    #[test]
+    fn validated_targets_simulate(
+        geometry in proptest::collection::vec(any::<u64>(), 8),
+        timing in proptest::collection::vec(1u64..48, 14),
+        accesses in proptest::collection::vec(any::<u64>(), 1..96),
+    ) {
+        let mut target = builtin_targets()[0].clone();
+        let d = &mut target.dram;
+        d.channels = 1 + geometry[0] % 4;
+        d.ranks = [1, 2, 3, 4, 8][(geometry[1] % 5) as usize];
+        d.bank_groups = 1 + geometry[2] % 4;
+        d.banks_per_group = 1 + geometry[3] % 8;
+        d.access_bytes = [32, 64, 128][(geometry[4] % 3) as usize];
+        d.row_bytes = d.access_bytes * (1 + geometry[5] % 64);
+        d.sched_window = 1 + geometry[6] % 130;
+        let t = &mut d.timing;
+        let [cl, rcd, rp, ras, ccd_l, ccd_s, rrd, faw, wr, wtr, rtw, rfc, refi, bl] =
+            timing[..] else { unreachable!("14 timing values") };
+        (t.cl, t.rcd, t.rp, t.ras, t.ccd_l, t.ccd_s, t.rrd) = (cl, rcd, rp, ras, ccd_l, ccd_s, rrd);
+        (t.faw, t.wr, t.wtr, t.rtw, t.rfc) = (faw, wr, wtr, rtw, rfc);
+        t.refi = refi * (1 + geometry[7] % 400);
+        t.bl = 2 * (1 + bl % 8);
+        match target.validate() {
+            Err(TargetError::Invalid { .. }) => return Ok(()),
+            Err(other) => prop_assert!(false, "validate returned {other:?}"),
+            Ok(()) => {}
+        }
+        let mut dram = DramSystem::new(DramConfig::from_target(&target));
+        let mut pushed = 0u64;
+        for &a in &accesses {
+            let addr = a % (1 << 34);
+            let is_write = a >> 63 == 1;
+            if a & 1 == 0 {
+                dram.access(addr, is_write);
+                pushed += 1;
+            } else {
+                let blocks = (a >> 40) % 40;
+                DramSink::access_range(&mut dram, addr & !63, blocks, is_write);
+                pushed += blocks;
+            }
+        }
+        let stats = dram.finish();
+        prop_assert_eq!(stats.reads + stats.writes, pushed);
     }
 }
