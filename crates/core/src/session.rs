@@ -164,10 +164,8 @@ impl SecureChannel {
 
 /// Derives the channel keys `(k_enc, k_mac)` from a DH exchange.
 pub fn derive_channel_keys(dh: &DhKeyPair, peer: &BigUint) -> ([u8; 16], [u8; 16]) {
-    (
-        dh.derive_key(peer, b"guardnn k_session enc"),
-        dh.derive_key(peer, b"guardnn k_session mac"),
-    )
+    let [k_enc, k_mac] = dh.derive_keys(peer, [b"guardnn k_session enc", b"guardnn k_session mac"]);
+    (k_enc, k_mac)
 }
 
 /// The remote user: owns the model + input plaintext, authenticates the
@@ -330,6 +328,71 @@ mod tests {
             SecureChannel::new(ka_enc, ka_mac, ChannelEnd::User),
             SecureChannel::new(kb_enc, kb_mac, ChannelEnd::Device),
         )
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A fixed-seed exchange is pinned byte for byte: both public values,
+    /// both channel keys and a signature. How the exponentiations and the
+    /// key derivation are computed may change; these bytes may not.
+    #[test]
+    fn exchange_bytes_are_pinned() {
+        use guardnn_crypto::schnorr::SigningKey;
+
+        let group = DhGroup::oakley768();
+        let mut rng = TrngModel::from_seed(0x5EED_2022);
+        let user = DhKeyPair::generate(&group, &mut rng);
+        let device = DhKeyPair::generate(&group, &mut rng);
+        assert_eq!(
+            hex(&user.public_key().to_bytes_be()),
+            concat!(
+                "71f2e24156f4024178453345b492efd3bfe40104748597391954ea6ad77eda6f",
+                "858c9864a425f08701340dfaf06daba58bb9d5427c74f3a32ae8805aa3588dab",
+                "e7cb087cda2b31c6c2ec522b4c6c4f547d70c8094b7800680f39b92fd4ec86cc",
+            )
+        );
+        assert_eq!(
+            hex(&device.public_key().to_bytes_be()),
+            concat!(
+                "db6835b3bb3f1e0a3ef49c2f1f2ba2da5c847d43f45086ac025b829713111d9c",
+                "9a78450e218c8705d57b58b39c5430884a3884b6ea0e08c608442a7f05dc46d2",
+                "b834f33b0dfcacdd3b7b34a8bcab3056965e40d6caf0348a1b8dae50fce14e62",
+            )
+        );
+        let (k_enc, k_mac) = derive_channel_keys(&user, device.public_key());
+        assert_eq!(hex(&k_enc), "520ed83f662fb8b1110f37db30b35cb9");
+        assert_eq!(hex(&k_mac), "a2463a5259fbb5a5b09bc7458475b62d");
+        assert_eq!(
+            derive_channel_keys(&device, user.public_key()),
+            (k_enc, k_mac)
+        );
+
+        let sk = SigningKey::generate(&group, &mut rng);
+        let sig = sk.sign(b"guardnn attestation report", &mut rng);
+        assert_eq!(
+            hex(&sig.to_bytes()),
+            concat!(
+                "00000020b85a17249089de627f09345f6fef35ea4026f63b615b9234d7dd13d1",
+                "d7b4c4e0000000604daeba9d0d04ec51fe177d9efd38a50fc69538d80316cffe",
+                "9270b1fc763be67aa29b25d35078018242368db2676350ed3e7e9f2bad7d48f3",
+                "bb181416d136cf9cfd7ade927e5aadee11aeea59060bdf224a067f036fad55a9",
+                "5ce329c2ff92f836",
+            )
+        );
+        assert!(sk
+            .verifying_key()
+            .verify(b"guardnn attestation report", &sig));
+
+        // The 2048-bit group's 512-window table and 32-limb squaring.
+        let group = DhGroup::modp2048();
+        let mut rng = TrngModel::from_seed(0x5EED_2048);
+        let a = DhKeyPair::generate(&group, &mut rng);
+        let b = DhKeyPair::generate(&group, &mut rng);
+        let (k_enc, k_mac) = derive_channel_keys(&a, b.public_key());
+        assert_eq!(hex(&k_enc), "6d748dea5ea30f08a297be3a916fe408");
+        assert_eq!(hex(&k_mac), "2111b31018fe9fae0501a60ff34133dc");
     }
 
     #[test]

@@ -5,9 +5,35 @@
 //! (ECDHE–ECDSA in the paper; finite-field DH + Schnorr here — see
 //! DESIGN.md §4). That needs 2048-bit modular arithmetic. This module is a
 //! deliberately small bignum: little-endian `u64` limbs, schoolbook
-//! multiplication, and CIOS Montgomery reduction for fast `modpow`, which
+//! multiplication, and Montgomery reduction for fast `modpow`, which
 //! scans the exponent in fixed 4-bit windows and multiplies into scratch
 //! buffers it reuses for the whole exponentiation.
+//!
+//! About four in five Montgomery operations of such an exponentiation are
+//! squarings. They go through their own routine, which forms each cross
+//! product `a_i·a_j` once, doubles their sum, adds the diagonal `a_i²` and
+//! then reduces the double-width square: about 1.5·w² limb products for a
+//! `w`-limb modulus, against 2·w² for the CIOS multiplication (Menezes,
+//! van Oorschot & Vanstone, *Handbook of Applied Cryptography*, 1996,
+//! ch. 14).
+//!
+//! A base that is raised again and again, such as a group generator, can
+//! have its powers `base^(16^i)` precomputed, one per 4-bit window of the
+//! modulus. Exponentiation then needs no squarings (Yao's fixed-base
+//! method, as in Brickell, Gordon, McCurley & Wilson, "Fast
+//! Exponentiation with Precomputation", EUROCRYPT '92). For each digit
+//! value `d` from 15 down to 1, the powers whose window holds `d` are
+//! multiplied into a running product, and the running product into the
+//! result: one multiplication per nonzero window, plus 15.
+//!
+//! Both methods choose their multiplications, and the table entries they
+//! read, by the exponent's digits, as the square-and-multiply before them
+//! did. For a private key or a signature nonce those digits are secret,
+//! so the operation count and the memory access pattern depend on
+//! secrets, and a timing or cache observer learns about them. That is
+//! accepted here because this crate is a functional model of the device's
+//! key-exchange firmware, not a library for a shared host. No
+//! constant-time ladder is adopted.
 //!
 //! # Example
 //!
@@ -333,15 +359,46 @@ impl BigUint {
     }
 }
 
-/// Exponent bits consumed per multiplication in [`MontgomeryCtx::pow`].
+/// Exponent bits per window, in [`MontgomeryCtx::pow`] and in the
+/// fixed-base powers.
 const WINDOW_BITS: usize = 4;
+
+/// Window `i` of `exp`: bits `4i .. 4i + 4` as a digit in `0..16` (a
+/// window never straddles two limbs).
+fn window_digit(exp: &BigUint, i: usize) -> usize {
+    let bit = i * WINDOW_BITS;
+    exp.limbs.get(bit / 64).map_or(0, |limb| {
+        ((limb >> (bit % 64)) & ((1 << WINDOW_BITS) - 1)) as usize
+    })
+}
+
+/// The powers `base^(16^i)` of one base in Montgomery form, one for every
+/// 4-bit window of the modulus: the table [`MontgomeryCtx::pow_fixed`]
+/// reads.
+pub(crate) struct FixedBase {
+    /// `windows` residues of `width` limbs; entry `i` is
+    /// `base^(16^i) · R mod n`.
+    powers: Vec<u64>,
+    /// Exponent windows the table covers.
+    windows: usize,
+}
+
+impl fmt::Debug for FixedBase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FixedBase")
+            .field("windows", &self.windows)
+            .field("bytes", &(self.powers.len() * 8))
+            .finish()
+    }
+}
 
 /// Precomputed Montgomery context for a fixed odd modulus.
 ///
 /// Used for every hot modular multiplication in the DH key exchange and
-/// Schnorr signing. Multiplication is CIOS Montgomery into a scratch
-/// buffer the caller reuses, so an exponentiation allocates only its
-/// window table and two buffers, however long the exponent.
+/// Schnorr signing. Multiplication is CIOS Montgomery and squaring its own
+/// routine, both into a scratch buffer the caller reuses, so an
+/// exponentiation allocates only its window table and a few buffers,
+/// however long the exponent.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
     n: BigUint,
@@ -432,6 +489,68 @@ impl MontgomeryCtx {
         }
     }
 
+    /// Montgomery squaring in place, `a = a · a · R^{-1} mod n`: the
+    /// value [`Self::mont_mul`] gives for `(a, a)`, with `t` (`2 · width`
+    /// limbs) as the whole working space. Each cross product `a_i·a_j`
+    /// (`i < j`) is formed once; their sum is doubled and the diagonal
+    /// `a_i²` added, and the double-width square is then reduced one limb
+    /// at a time.
+    fn mont_sqr(&self, a: &mut [u64], t: &mut [u64]) {
+        let w = self.width;
+        let (a, n) = (&mut a[..w], &self.n.limbs[..w]);
+        let t = &mut t[..2 * w];
+        t.fill(0);
+        // t = Σ_{i<j} a_i·a_j·2^(64(i+j)); row i ends at limb i + w.
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0u128;
+            for (tk, &aj) in t[2 * i + 1..i + w].iter_mut().zip(&a[i + 1..]) {
+                let s = *tk as u128 + (ai as u128) * (aj as u128) + carry;
+                *tk = s as u64;
+                carry = s >> 64;
+            }
+            t[i + w] = carry as u64;
+        }
+        // The cross sum is below R²/2, so doubling shifts nothing out, and
+        // the full square a² < R² fits the 2·width limbs.
+        shl1_limbs(t, 0);
+        let mut carry = 0u128;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a.iter()) {
+            let sq = (ai as u128) * (ai as u128);
+            let lo = pair[0] as u128 + (sq as u64) as u128 + carry;
+            pair[0] = lo as u64;
+            let hi = pair[1] as u128 + (sq >> 64) + (lo >> 64);
+            pair[1] = hi as u64;
+            carry = hi >> 64;
+        }
+        // Reduction: adding m·n·2^(64i) clears limb i. The carry out of
+        // limb i + w waits in `top` and joins limb i + w + 1 in the next
+        // round; after the last round it is the bit above the result,
+        // which is below 2n.
+        let mut top = 0u64;
+        for i in 0..w {
+            let m = t[i].wrapping_mul(self.n0_inv);
+            let mut carry = 0u128;
+            for (tk, &nj) in t[i..i + w].iter_mut().zip(n) {
+                let s = *tk as u128 + (m as u128) * (nj as u128) + carry;
+                *tk = s as u64;
+                carry = s >> 64;
+            }
+            let s = t[i + w] as u128 + carry + top as u128;
+            t[i + w] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        a.copy_from_slice(&t[w..]);
+        if top != 0 || ge_limbs(a, n) {
+            sub_limbs(a, n);
+        }
+    }
+
+    /// `a` in Montgomery form (`a · R mod n`), using `t` as scratch.
+    fn to_mont(&self, a: &BigUint, t: &mut [u64]) -> Vec<u64> {
+        self.mont_mul(&self.residue(a), &self.r2, t);
+        t[..self.width].to_vec()
+    }
+
     /// `a` reduced mod `n`, as `width` limbs.
     fn residue(&self, a: &BigUint) -> Vec<u64> {
         let mut limbs = if a >= &self.n {
@@ -469,43 +588,86 @@ impl MontgomeryCtx {
     }
 
     /// Modular exponentiation `base^exp mod n`, left to right with a fixed
-    /// window of four exponent bits per table multiplication.
+    /// window of four exponent bits per table multiplication; the four
+    /// squarings between table multiplications go through the Montgomery
+    /// squaring routine.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one().rem(&self.n);
         }
         let w = self.width;
-        let mut t = vec![0u64; w + 2];
+        // Scratch for both `mont_mul` (w + 2 limbs) and `mont_sqr` (2w).
+        let mut t = vec![0u64; 2 * w + 2];
         // table[d] = base^d in Montgomery form, for every window digit d.
         let mut table = vec![0u64; (1 << WINDOW_BITS) * w];
-        self.mont_mul(&self.residue(base), &self.r2, &mut t);
-        table[w..2 * w].copy_from_slice(&t[..w]);
+        table[w..2 * w].copy_from_slice(&self.to_mont(base, &mut t));
         for d in 2..1 << WINDOW_BITS {
             let (lower, upper) = table.split_at_mut(d * w);
             self.mont_mul(&lower[(d - 1) * w..], &lower[w..2 * w], &mut t);
             upper[..w].copy_from_slice(&t[..w]);
         }
         let windows = exp.bit_len().div_ceil(WINDOW_BITS);
-        let digit = |i: usize| {
-            (0..WINDOW_BITS).fold(0usize, |d, b| {
-                d | (usize::from(exp.bit(i * WINDOW_BITS + b)) << b)
-            })
-        };
         // The top window holds the top set bit, so its digit is nonzero.
-        let top = digit(windows - 1);
+        let top = window_digit(exp, windows - 1);
         let mut acc = table[top * w..(top + 1) * w].to_vec();
         for i in (0..windows - 1).rev() {
             for _ in 0..WINDOW_BITS {
-                self.mont_mul(&acc, &acc, &mut t);
-                acc.copy_from_slice(&t[..w]);
+                self.mont_sqr(&mut acc, &mut t);
             }
-            let d = digit(i);
+            let d = window_digit(exp, i);
             if d != 0 {
                 self.mont_mul(&acc, &table[d * w..(d + 1) * w], &mut t);
                 acc.copy_from_slice(&t[..w]);
             }
         }
         self.reduce_from_mont(&acc, &mut t)
+    }
+
+    /// Precomputes the powers `base^(16^i)` for every 4-bit window of the
+    /// modulus, four squarings apart.
+    pub(crate) fn fixed_base(&self, base: &BigUint) -> FixedBase {
+        let w = self.width;
+        let windows = self.n.bit_len().div_ceil(WINDOW_BITS);
+        let mut t = vec![0u64; 2 * w + 2];
+        let mut power = self.to_mont(base, &mut t);
+        let mut powers = Vec::with_capacity(windows * w);
+        powers.extend_from_slice(&power);
+        for _ in 1..windows {
+            for _ in 0..WINDOW_BITS {
+                self.mont_sqr(&mut power, &mut t);
+            }
+            powers.extend_from_slice(&power);
+        }
+        FixedBase { powers, windows }
+    }
+
+    /// `base^exp mod n` by Yao's fixed-base method over `table`, the
+    /// powers of `base` that [`Self::fixed_base`] built for this modulus:
+    /// no squarings, one multiplication per nonzero window of `exp` plus
+    /// 15. `None` when `exp` has more windows than the table covers.
+    pub(crate) fn pow_fixed(&self, table: &FixedBase, exp: &BigUint) -> Option<BigUint> {
+        let windows = exp.bit_len().div_ceil(WINDOW_BITS);
+        if windows > table.windows {
+            return None;
+        }
+        let w = self.width;
+        let digits: Vec<usize> = (0..windows).map(|i| window_digit(exp, i)).collect();
+        let mut t = vec![0u64; w + 2];
+        // With b_d the product of the powers whose window digit is d,
+        // base^exp = Π_d b_d^d. After digit value d, `run` holds
+        // b_15 · … · b_d, so multiplying it into `acc` once per digit
+        // value raises each b_d to the power d.
+        let mut run = self.to_mont(&BigUint::one(), &mut t);
+        let mut acc = run.clone();
+        for d in (1..1 << WINDOW_BITS).rev() {
+            for (i, _) in digits.iter().enumerate().filter(|&(_, &di)| di == d) {
+                self.mont_mul(&run, &table.powers[i * w..(i + 1) * w], &mut t);
+                run.copy_from_slice(&t[..w]);
+            }
+            self.mont_mul(&acc, &run, &mut t);
+            acc.copy_from_slice(&t[..w]);
+        }
+        Some(self.reduce_from_mont(&acc, &mut t))
     }
 }
 
@@ -663,6 +825,16 @@ mod tests {
         out
     }
 
+    /// A random odd modulus of exactly `bits` bits (`bits >= 2`).
+    fn random_modulus(state: &mut u64, bits: usize) -> BigUint {
+        let m = random_bits(state, bits);
+        if m.bit(0) {
+            m
+        } else {
+            m.add(&BigUint::one())
+        }
+    }
+
     /// The allocating shift-and-subtract reduction `rem` replaced.
     fn rem_reference(a: &BigUint, m: &BigUint) -> BigUint {
         let mut r = BigUint::zero();
@@ -724,10 +896,7 @@ mod tests {
             (2048, &[0, 1, 3, 4, 5, 8, 12, 16, 17, 64, 129][..]),
         ] {
             for _ in 0..2 {
-                let mut m = random_bits(&mut seed, mod_bits);
-                if !m.bit(0) {
-                    m = m.add(&BigUint::one());
-                }
+                let m = random_modulus(&mut seed, mod_bits);
                 let ctx = MontgomeryCtx::new(m.clone());
                 let base = random_bits(&mut seed, mod_bits + 5);
                 for &len in exp_lens {
@@ -748,6 +917,121 @@ mod tests {
                     assert_eq!(ctx.pow(&base, &exp), pow_reference(&base.rem(&m), &exp, &m));
                 }
             }
+        }
+    }
+
+    /// `2^bit`.
+    fn pow2(bit: usize) -> BigUint {
+        let mut limbs = vec![0; bit / 64 + 1];
+        limbs[bit / 64] = 1 << (bit % 64);
+        BigUint { limbs }
+    }
+
+    /// The primes of the named groups: their top and bottom 64 bits are
+    /// all ones, the worst case for carries.
+    fn group_primes() -> [BigUint; 2] {
+        [
+            crate::dh::DhGroup::oakley768().prime().clone(),
+            crate::dh::DhGroup::modp2048().prime().clone(),
+        ]
+    }
+
+    #[test]
+    fn mont_sqr_matches_mont_mul() {
+        let mut seed = 0x5C_0A7E;
+        let mut moduli: Vec<BigUint> = (1..=32)
+            .map(|limbs| {
+                let bits = 64 * (limbs - 1) + 1 + (splitmix(&mut seed) % 64) as usize;
+                random_modulus(&mut seed, bits.max(2))
+            })
+            .collect();
+        moduli.extend(group_primes());
+        for m in moduli {
+            let ctx = MontgomeryCtx::new(m.clone());
+            let w = ctx.width;
+            let mut inputs: Vec<Vec<u64>> = (0..4)
+                .map(|_| ctx.residue(&random_bits(&mut seed, m.bit_len() + 3)))
+                .collect();
+            for special in [BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())] {
+                inputs.push(ctx.residue(&special));
+            }
+            inputs.push(vec![u64::MAX; w]);
+            let mut t = vec![0u64; 2 * w + 2];
+            for a in inputs {
+                ctx.mont_mul(&a, &a, &mut t);
+                let expected = t[..w].to_vec();
+                let mut squared = a.clone();
+                ctx.mont_sqr(&mut squared, &mut t);
+                assert_eq!(squared, expected, "{w}-limb modulus {m:?}, input {a:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pow_g_matches_square_and_multiply() {
+        let mut seed = 0xF1_BA5E;
+        for (group, lens) in [
+            (
+                crate::dh::DhGroup::oakley768(),
+                &[
+                    0usize, 1, 3, 4, 5, 8, 63, 64, 65, 255, 256, 257, 766, 767, 768,
+                ][..],
+            ),
+            (
+                crate::dh::DhGroup::modp2048(),
+                &[0, 1, 4, 65, 256, 2047, 2048][..],
+            ),
+        ] {
+            let (p, g) = (group.prime(), group.generator());
+            let bits = p.bit_len();
+            let mut exps: Vec<BigUint> = lens
+                .iter()
+                .map(|&len| random_bits(&mut seed, len))
+                .collect();
+            // All ones, and single set bits at the bottom, middle and top.
+            exps.push(pow2(bits).sub(&BigUint::one()));
+            for bit in [0, 1, 4, bits / 2, bits - 1] {
+                exps.push(pow2(bit));
+            }
+            for e in &exps {
+                assert_eq!(
+                    group.pow_g(e),
+                    pow_reference(g, e, p),
+                    "{bits}-bit group, {}-bit exponent",
+                    e.bit_len()
+                );
+            }
+            // Exponents wider than the table take the generic path.
+            for len in [bits + 1, bits + 70] {
+                let e = random_bits(&mut seed, len);
+                assert_eq!(
+                    group.pow_g(&e),
+                    pow_reference(g, &e, p),
+                    "{len}-bit exponent"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_table_covers_the_modulus_width() {
+        let mut seed = 0x7AB1E;
+        for mod_bits in [2, 64, 65, 130, 767] {
+            let m = random_modulus(&mut seed, mod_bits);
+            let ctx = MontgomeryCtx::new(m.clone());
+            let base = random_bits(&mut seed, mod_bits + 9);
+            let table = ctx.fixed_base(&base);
+            let covered = mod_bits.div_ceil(WINDOW_BITS) * WINDOW_BITS;
+            for len in [0, 1, mod_bits / 2, mod_bits - 1, mod_bits, covered] {
+                let e = random_bits(&mut seed, len);
+                assert_eq!(
+                    ctx.pow_fixed(&table, &e),
+                    Some(pow_reference(&base.rem(&m), &e, &m)),
+                    "{mod_bits}-bit modulus, {len}-bit exponent"
+                );
+            }
+            let wide = random_bits(&mut seed, covered + 1);
+            assert_eq!(ctx.pow_fixed(&table, &wide), None);
         }
     }
 

@@ -9,7 +9,18 @@
 //!
 //! Two groups are provided: the 2048-bit MODP group 14 (production-grade
 //! parameters, used by examples/benches) and the 768-bit Oakley group 1
-//! (small, for fast unit/integration tests).
+//! (small, for fast unit/integration tests). Each is built once per
+//! process and shared: its constructor returns a clone of one instance.
+//!
+//! A group precomputes `g^(16^i)` in Montgomery form for every 4-bit
+//! window of `p` (192 residues, 18 KiB, for `oakley768`), so
+//! [`DhGroup::pow_g`] (key generation, Schnorr signing and half of a
+//! verification) runs Yao's fixed-base method with no squarings; see
+//! [`crate::bigint`], which also notes that these exponentiations are
+//! not constant-time. A key pair derives all its labelled keys from one
+//! shared secret ([`DhKeyPair::derive_keys`]), so each side of an
+//! exchange runs two exponentiations: its key generation and the shared
+//! secret.
 //!
 //! # Example
 //!
@@ -28,10 +39,10 @@
 //! );
 //! ```
 
-use crate::bigint::{BigUint, MontgomeryCtx};
+use crate::bigint::{BigUint, FixedBase, MontgomeryCtx};
 use crate::hmac::hkdf_sha256;
 use crate::rng::TrngModel;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// RFC 3526 group 14 modulus (2048-bit MODP).
 const MODP_2048_HEX: &str = "
@@ -69,22 +80,27 @@ struct GroupInner {
     ctx: MontgomeryCtx,
     /// Montgomery context of the order `q`, for signature arithmetic.
     q_ctx: MontgomeryCtx,
+    /// `g^(16^i)` for every 4-bit window of `p`, for [`DhGroup::pow_g`].
+    g_powers: FixedBase,
     name: &'static str,
 }
 
 impl DhGroup {
     fn from_hex(hex: &str, name: &'static str) -> Self {
         let p = BigUint::from_hex(hex);
+        let g = BigUint::from(2u64);
         let q = p.sub(&BigUint::one()).shr1();
         let ctx = MontgomeryCtx::new(p.clone());
         let q_ctx = MontgomeryCtx::new(q.clone());
+        let g_powers = ctx.fixed_base(&g);
         Self {
             inner: Arc::new(GroupInner {
                 p,
-                g: BigUint::from(2u64),
+                g,
                 q,
                 ctx,
                 q_ctx,
+                g_powers,
                 name,
             }),
         }
@@ -92,13 +108,19 @@ impl DhGroup {
 
     /// The 2048-bit MODP group 14 from RFC 3526.
     pub fn modp2048() -> Self {
-        Self::from_hex(MODP_2048_HEX, "modp2048")
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_hex(MODP_2048_HEX, "modp2048"))
+            .clone()
     }
 
     /// The 768-bit Oakley group 1 from RFC 2409 (tests only; too small for
     /// real deployments).
     pub fn oakley768() -> Self {
-        Self::from_hex(OAKLEY_768_HEX, "oakley768")
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_hex(OAKLEY_768_HEX, "oakley768"))
+            .clone()
     }
 
     /// The prime modulus `p`.
@@ -121,10 +143,15 @@ impl DhGroup {
         self.inner.name
     }
 
-    /// `g^e mod p` using the group's Montgomery context.
+    /// `g^e mod p`, by the fixed-base method over the group's powers of
+    /// `g`. An exponent wider than `p` goes through the windowed `pow`.
     pub fn pow_g(&self, e: &BigUint) -> BigUint {
         guardnn_obs::Recorder::global().add("crypto.modexp", 1);
-        self.inner.ctx.pow(&self.inner.g, e)
+        let inner = &*self.inner;
+        inner
+            .ctx
+            .pow_fixed(&inner.g_powers, e)
+            .unwrap_or_else(|| inner.ctx.pow(&inner.g, e))
     }
 
     /// `base^e mod p`.
@@ -210,13 +237,21 @@ impl DhKeyPair {
         self.group.pow(peer, &self.private)
     }
 
-    /// Derives a 16-byte symmetric key from the shared secret with
-    /// HKDF-SHA256, bound to a context label (e.g. `b"k_session"`).
-    pub fn derive_key(&self, peer: &BigUint, label: &[u8]) -> [u8; 16] {
-        let secret = self.shared_secret(peer);
-        let okm = hkdf_sha256(&secret.to_bytes_be(), b"guardnn-dh", label, 16);
-        // lint:allow(panic-discipline) — hkdf_sha256 was asked for exactly 16 bytes
-        okm.try_into().expect("hkdf returned 16 bytes")
+    /// Derives one 16-byte symmetric key per context label (e.g.
+    /// `b"k_session"`) from a single shared secret, with HKDF-SHA256 run
+    /// once per label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` fails public-key validation, as
+    /// [`Self::shared_secret`] does.
+    pub fn derive_keys<const N: usize>(&self, peer: &BigUint, labels: [&[u8]; N]) -> [[u8; 16]; N] {
+        let secret = self.shared_secret(peer).to_bytes_be();
+        labels.map(|label| {
+            let okm = hkdf_sha256(&secret, b"guardnn-dh", label, 16);
+            // lint:allow(panic-discipline) — hkdf_sha256 was asked for exactly 16 bytes
+            okm.try_into().expect("hkdf returned 16 bytes")
+        })
     }
 }
 
@@ -235,14 +270,17 @@ mod tests {
             a.shared_secret(b.public_key()),
             b.shared_secret(a.public_key())
         );
-        assert_eq!(
-            a.derive_key(b.public_key(), b"k_session"),
-            b.derive_key(a.public_key(), b"k_session")
-        );
+        let [a_session, a_menc] = a.derive_keys(b.public_key(), [b"k_session", b"k_menc"]);
+        let [b_session, b_menc] = b.derive_keys(a.public_key(), [b"k_session", b"k_menc"]);
+        assert_eq!((a_session, a_menc), (b_session, b_menc));
         assert_ne!(
-            a.derive_key(b.public_key(), b"k_session"),
-            a.derive_key(b.public_key(), b"k_menc"),
+            a_session, a_menc,
             "distinct labels must derive distinct keys"
+        );
+        assert_eq!(
+            a.derive_keys(b.public_key(), [b"k_menc"]),
+            [a_menc],
+            "a key depends on its own label alone"
         );
     }
 

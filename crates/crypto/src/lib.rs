@@ -19,10 +19,14 @@
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 2104 / RFC 5869) for session-key
 //!   derivation.
 //! * [`bigint`] — minimal arbitrary-precision unsigned integers with
-//!   fixed-window Montgomery modular exponentiation on reused limb
-//!   buffers, supporting the key exchange.
+//!   Montgomery modular exponentiation on reused limb buffers: fixed
+//!   4-bit windows with a dedicated squaring routine for any base, and
+//!   Yao's fixed-base windowing over precomputed powers for a generator
+//!   (neither is constant-time; see the module docs).
 //! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 MODP groups
-//!   (the repo's stand-in for the paper's ECDHE; see DESIGN.md §4).
+//!   (the repo's stand-in for the paper's ECDHE; see DESIGN.md §4). Each
+//!   group is built once per process with its generator's powers, and a
+//!   key pair derives all its labelled keys from one shared secret.
 //! * [`schnorr`] — Schnorr signatures over the same groups (stand-in for
 //!   ECDSA device signatures).
 //! * [`cert`] — a minimal manufacturer-certificate chain binding a device

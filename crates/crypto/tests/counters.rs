@@ -2,7 +2,8 @@
 //!
 //! CTR ranges and CMAC messages count their AES blocks in one update, not
 //! one per block; the totals must still equal the number of block
-//! encryptions each operation performs. This file is its own test
+//! encryptions each operation performs. Each public-key operation counts
+//! the modular exponentiations it runs. This file is its own test
 //! process, so installing the global recorder here affects nothing else,
 //! and everything runs in one test so no other thread adds to the counts.
 
@@ -11,6 +12,7 @@ use guardnn_crypto::cmac::Cmac;
 use guardnn_crypto::ctr::{AesCtr, CounterBlock};
 use guardnn_crypto::dh::{DhGroup, DhKeyPair};
 use guardnn_crypto::rng::TrngModel;
+use guardnn_crypto::schnorr::SigningKey;
 use guardnn_obs::Recorder;
 
 fn counts() -> (u64, u64, u64) {
@@ -77,11 +79,25 @@ fn counters_equal_block_encryptions() {
         (33, 1, 0)
     );
 
+    // One modexp per public-key operation, except verification's two: a
+    // session costs 6 (the certificate check, and a key generation and
+    // one shared secret on each side).
     let group = DhGroup::oakley768();
     let mut rng = TrngModel::from_seed(5);
+    let (alice, keygen) = counted(|| DhKeyPair::generate(&group, &mut rng));
+    assert_eq!(keygen.2, 1, "key generation is one modexp");
+    let bob = DhKeyPair::generate(&group, &mut rng);
     assert_eq!(
-        delta(|| DhKeyPair::generate(&group, &mut rng)).2,
+        delta(|| alice.derive_keys(bob.public_key(), [b"enc", b"mac"])).2,
         1,
-        "key generation is one modexp"
+        "labelled keys share one shared secret"
     );
+    assert_eq!(delta(|| alice.shared_secret(bob.public_key())).2, 1);
+    let sk = SigningKey::generate(&group, &mut rng);
+    let (sig, signing) = counted(|| sk.sign(b"report", &mut rng));
+    assert_eq!(signing.2, 1, "signing is one modexp");
+    let vk = sk.verifying_key();
+    let (valid, verifying) = counted(|| vk.verify(b"report", &sig));
+    assert!(valid);
+    assert_eq!(verifying.2, 2, "verification is two modexps");
 }

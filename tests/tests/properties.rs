@@ -1,5 +1,6 @@
 //! Property-based tests (proptest) over the core invariants.
 
+use guardnn::perf::{evaluate, EvalConfig, Mode, Scheme};
 use guardnn_crypto::cmac::Cmac;
 use guardnn_crypto::ctr::AesCtr;
 use guardnn_crypto::sha256::Sha256;
@@ -251,7 +252,8 @@ proptest! {
 
     /// Whatever geometry and timing `validate` accepts simulates: a short
     /// mixed run of single accesses and block ranges drains without a
-    /// panic and counts every request pushed.
+    /// panic and counts every request pushed, and a tiny network
+    /// evaluates under every scheme, in inference and in training.
     #[test]
     fn validated_targets_simulate(
         geometry in proptest::collection::vec(any::<u64>(), 8),
@@ -295,5 +297,29 @@ proptest! {
         }
         let stats = dram.finish();
         prop_assert_eq!(stats.reads + stats.writes, pushed);
+
+        // Every 64-B block of data and metadata is one DRAM request, and
+        // confidentiality alone adds no traffic and no time to NP.
+        let cfg = EvalConfig::from_target(&target);
+        let net = Network::new("tiny", vec![conv("c", 8, 4, 8, 3, 1, 1), fc("f", 1, 512, 10)]);
+        for mode in [Mode::Inference, Mode::Training { batch: 2 }] {
+            let runs = Scheme::all().map(|scheme| evaluate(&net, mode, scheme, &cfg));
+            for r in &runs {
+                let requests = r.dram.reads + r.dram.writes;
+                prop_assert!(
+                    requests * 64 == r.data_bytes + r.meta_bytes,
+                    "{} {:?}: {} requests for {} data and {} metadata bytes",
+                    r.scheme,
+                    mode,
+                    requests,
+                    r.data_bytes,
+                    r.meta_bytes
+                );
+            }
+            let [np, gc, ..] = &runs;
+            prop_assert_eq!((np.scheme, gc.scheme), ("NP", "GuardNN_C"));
+            prop_assert_eq!(gc.dram, np.dram);
+            prop_assert_eq!(gc.exec_ns.to_bits(), np.exec_ns.to_bits());
+        }
     }
 }
