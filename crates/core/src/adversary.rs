@@ -17,14 +17,17 @@
 //!   *detected* (integrity enabled) or *garbled, never disclosed*
 //!   (confidentiality only).
 //! * primitives ([`tamper_bit`], [`snapshot_chunk`], [`replay_chunk`],
-//!   [`probe_dram`], [`park_counters`]) for bespoke scenarios.
+//!   [`probe_dram`], [`park_counters`]) for bespoke scenarios, and the
+//!   malicious host's own lever: [`set_read_ctr_for_edge`] /
+//!   [`set_read_ctr_for_grad_edge`] declare a read counter of its choosing.
+//!   None of them can break confidentiality.
 //!
 //! # Example: one scripted attack, both protection levels
 //!
 //! ```
 //! use guardnn::adversary::{mount_physical_attack, AttackOutcome, PhysicalFault};
 //! use guardnn::device::GuardNnDevice;
-//! use guardnn::host::UntrustedHost;
+//! use guardnn::server::DeviceServer;
 //! use guardnn::session::RemoteUser;
 //! use guardnn::testnet;
 //!
@@ -33,14 +36,16 @@
 //! let weights = testnet::tiny_mlp_weights(1);
 //! let input = vec![9, 8, 7, 6, 5, 4, 3, 2];
 //! for integrity in [true, false] {
-//!     let (mut device, maker_pk) = GuardNnDevice::provision(1, 7);
+//!     let (device, maker_pk) = GuardNnDevice::provision(1, 7);
+//!     let mut server = DeviceServer::new(device);
 //!     let mut user = RemoteUser::new(maker_pk, 3);
-//!     let mut host = UntrustedHost::new();
-//!     host.establish(&mut device, &mut user, &net, &weights, integrity)?;
+//!     let sid = server.connect(&mut user)?;
+//!     server.establish(sid, &mut user, integrity)?;
+//!     server.load_model(sid, &mut user, &net, &weights)?;
 //!     let outcome = mount_physical_attack(
-//!         &mut device,
+//!         &mut server,
+//!         sid,
 //!         &mut user,
-//!         &mut host,
 //!         &net,
 //!         &input,
 //!         PhysicalFault::FeatureBitFlip { edge: 0 },
@@ -59,8 +64,8 @@
 
 use crate::device::GuardNnDevice;
 use crate::error::GuardNnError;
-use crate::host::UntrustedHost;
 use crate::isa::{Instruction, Response};
+use crate::server::{edge_extent, DeviceServer, SessionId};
 use crate::session::RemoteUser;
 use guardnn_memprot::vn::VersionCounters;
 use guardnn_models::Network;
@@ -281,11 +286,13 @@ impl AttackOutcome {
     }
 }
 
-/// Mounts `fault` against an established session: runs one honest
-/// inference of `input` (populating DRAM and the host's version-number
-/// log), applies the fault, then honestly re-runs the forward pass from
-/// the tampered point on and reports whether the device detected the
-/// attack or merely garbled.
+/// Mounts `fault` against a session with its model loaded: runs one
+/// honest inference of `input` through `server` (populating DRAM and the
+/// session's version-number log), applies the fault, then honestly
+/// re-runs the forward pass from the tampered point on, straight on the
+/// device, and reports whether the device detected the attack or merely
+/// garbled. The session's counter mirror is stale afterwards: it is good
+/// only for teardown.
 ///
 /// # Errors
 ///
@@ -294,15 +301,21 @@ impl AttackOutcome {
 /// [`GuardNnError::InvalidState`] for a fault edge/layer outside the
 /// model.
 pub fn mount_physical_attack(
-    device: &mut GuardNnDevice,
+    server: &mut DeviceServer,
+    session: SessionId,
     user: &mut RemoteUser,
-    host: &mut UntrustedHost,
     network: &Network,
     input: &[i32],
     fault: PhysicalFault,
 ) -> Result<AttackOutcome, GuardNnError> {
-    let (reference, mut vns) = host.infer(device, user, network, input)?;
-    let mut ctrs = host.counters();
+    let reference = server.infer(session, user, input)?;
+    let (Some(vns), Some(mut ctrs)) = (server.edge_vns(session), server.counters(session)) else {
+        return Err(GuardNnError::UnknownSession {
+            session: session.raw(),
+        });
+    };
+    let mut vns = vns.to_vec();
+    let device = server.device_mut();
     let layers = network.layers().len();
 
     let start_layer = match fault {
@@ -324,7 +337,7 @@ pub fn mount_physical_attack(
             let stale = device.physical_dram_mut()?.snapshot_chunk(addr);
             // Re-run the producing layer: the device overwrites the edge
             // under a fresh CTR_F,W...
-            host.set_read_ctr_for_edge(device, network, edge - 1, vns[edge - 1])?;
+            set_read_ctr_for_edge(device, network, edge - 1, vns[edge - 1])?;
             device.execute(Instruction::Forward { layer: edge - 1 })?;
             ctrs.on_forward()?;
             vns[edge] = ctrs.current_write_vn();
@@ -345,7 +358,7 @@ pub fn mount_physical_attack(
     // Honest re-read from the tampered point on: the first instruction
     // that touches the tampered chunk either detects or garbles.
     for layer in start_layer..layers {
-        host.set_read_ctr_for_edge(device, network, layer, vns[layer])?;
+        set_read_ctr_for_edge(device, network, layer, vns[layer])?;
         match device.execute(Instruction::Forward { layer }) {
             Ok(_) => {
                 ctrs.on_forward()?;
@@ -357,7 +370,7 @@ pub fn mount_physical_attack(
             Err(e) => return Err(e),
         }
     }
-    host.set_read_ctr_for_edge(device, network, layers, vns[layers])?;
+    set_read_ctr_for_edge(device, network, layers, vns[layers])?;
     let message = match device.execute(Instruction::ExportOutput) {
         Ok(Response::Output { message }) => message,
         Ok(_) => {
@@ -375,6 +388,49 @@ pub fn mount_physical_attack(
 // ---------------------------------------------------------------------------
 // Primitives for bespoke scenarios.
 // ---------------------------------------------------------------------------
+
+/// Issues `SetReadCTR` covering feature edge `edge` of `network` with a
+/// version number of the host's choosing: a wrong `vn` garbles the read
+/// (or, with integrity, faults it) but never discloses plaintext.
+///
+/// # Errors
+///
+/// Propagates device errors.
+pub fn set_read_ctr_for_edge(
+    device: &mut GuardNnDevice,
+    network: &Network,
+    edge: usize,
+    vn: u64,
+) -> Result<(), GuardNnError> {
+    let start = device.feature_region(edge)?;
+    device.execute(Instruction::SetReadCtr {
+        start,
+        end: start + edge_extent(network, edge),
+        vn,
+    })?;
+    Ok(())
+}
+
+/// Issues `SetReadCTR` covering gradient edge `edge` of `network` (see
+/// [`set_read_ctr_for_edge`]).
+///
+/// # Errors
+///
+/// Propagates device errors.
+pub fn set_read_ctr_for_grad_edge(
+    device: &mut GuardNnDevice,
+    network: &Network,
+    edge: usize,
+    vn: u64,
+) -> Result<(), GuardNnError> {
+    let start = device.grad_region(edge)?;
+    device.execute(Instruction::SetReadCtr {
+        start,
+        end: start + edge_extent(network, edge),
+        vn,
+    })?;
+    Ok(())
+}
 
 /// Flips one ciphertext bit in the device's DRAM at `addr`.
 ///
@@ -463,29 +519,39 @@ mod tests {
     use super::*;
     use crate::testnet;
 
-    /// Sets up a device mid-session with weights + input loaded.
-    fn loaded_device(integrity: bool) -> (GuardNnDevice, RemoteUser, UntrustedHost) {
-        let (mut device, maker_pk) = GuardNnDevice::provision(5, 77);
+    /// A served session with weights loaded and one inference run.
+    fn loaded_session(integrity: bool) -> (DeviceServer, SessionId, RemoteUser) {
+        let (device, maker_pk) = GuardNnDevice::provision(5, 77);
+        let mut server = DeviceServer::new(device);
         let mut user = RemoteUser::new(maker_pk, 3);
-        let net = testnet::tiny_mlp();
-        let weights = testnet::tiny_mlp_weights(1);
-        let input = vec![9, 8, 7, 6, 5, 4, 3, 2];
-        let mut host = UntrustedHost::new();
-        host.run_inference(&mut device, &mut user, &net, &weights, &input, integrity)
+        let sid = server.connect(&mut user).expect("connect");
+        server
+            .establish(sid, &mut user, integrity)
+            .expect("establish");
+        server
+            .load_model(
+                sid,
+                &mut user,
+                &testnet::tiny_mlp(),
+                &testnet::tiny_mlp_weights(1),
+            )
+            .expect("load");
+        server
+            .infer(sid, &mut user, &[9, 8, 7, 6, 5, 4, 3, 2])
             .expect("inference");
-        (device, user, host)
+        (server, sid, user)
     }
 
     #[test]
     fn probe_sees_no_plaintext_weights() {
-        let (mut device, ..) = loaded_device(false);
+        let (mut server, ..) = loaded_session(false);
         let weights = testnet::tiny_mlp_weights(1);
         let mut wb = Vec::new();
         for v in &weights[0] {
             wb.extend_from_slice(&v.to_le_bytes());
         }
         // Probe the whole first MB of DRAM.
-        let raw = probe_dram(&mut device, 0, 1 << 20).expect("probe");
+        let raw = probe_dram(server.device_mut(), 0, 1 << 20).expect("probe");
         assert!(
             !raw.windows(wb.len().min(16))
                 .any(|w| wb.windows(w.len()).any(|s| s == w)),
@@ -503,10 +569,9 @@ mod tests {
             PhysicalFault::StaleFeatureReplay { edge: 1 },
             PhysicalFault::WeightBitFlip { layer: 1 },
         ] {
-            let (mut device, mut user, mut host) = loaded_device(true);
-            let outcome =
-                mount_physical_attack(&mut device, &mut user, &mut host, &net, &input, fault)
-                    .expect("attack script");
+            let (mut server, sid, mut user) = loaded_session(true);
+            let outcome = mount_physical_attack(&mut server, sid, &mut user, &net, &input, fault)
+                .expect("attack script");
             match outcome {
                 AttackOutcome::Detected(GuardNnError::IntegrityViolation { .. }) => {}
                 other => panic!("{fault:?} not detected: {other:?}"),
@@ -523,10 +588,9 @@ mod tests {
             PhysicalFault::StaleFeatureReplay { edge: 1 },
             PhysicalFault::WeightBitFlip { layer: 0 },
         ] {
-            let (mut device, mut user, mut host) = loaded_device(false);
-            let outcome =
-                mount_physical_attack(&mut device, &mut user, &mut host, &net, &input, fault)
-                    .expect("attack script");
+            let (mut server, sid, mut user) = loaded_session(false);
+            let outcome = mount_physical_attack(&mut server, sid, &mut user, &net, &input, fault)
+                .expect("attack script");
             match outcome {
                 AttackOutcome::Garbled { output, reference } => {
                     assert_ne!(output, reference, "{fault:?} must corrupt the computation");
@@ -554,8 +618,8 @@ mod tests {
         let inputs: Vec<Vec<i32>> = (0..4).map(|i| vec![i; 8]).collect();
         for seed in 0..16u64 {
             let plan = FaultPlan::from_seed(seed, inputs.len());
-            let (mut device, mut user, _host) = loaded_device(true);
-            let (_, err) = run_tampered_input_stream(&mut device, &mut user, &inputs, plan)
+            let (mut server, _, mut user) = loaded_session(true);
+            let (_, err) = run_tampered_input_stream(server.device_mut(), &mut user, &inputs, plan)
                 .expect("stream runs");
             assert_eq!(err, Some(GuardNnError::ChannelAuth), "plan {plan:?}");
         }
@@ -573,11 +637,12 @@ mod tests {
 
     #[test]
     fn parked_counters_exhaust_on_next_input() {
-        let (mut device, mut user, _host) = loaded_device(true);
-        park_counters(&mut device, u32::MAX, 0, 0).expect("park");
+        let (mut server, _, mut user) = loaded_session(true);
+        park_counters(server.device_mut(), u32::MAX, 0, 0).expect("park");
         let msg = user.encrypt_tensor(&[1, 2, 3, 4, 5, 6, 7, 8]).expect("enc");
         assert_eq!(
-            device
+            server
+                .device_mut()
                 .execute(Instruction::SetInput { message: msg })
                 .unwrap_err(),
             GuardNnError::CounterExhausted { counter: "CTR_IN" }

@@ -11,7 +11,7 @@
 use crate::attestation::AttestationState;
 use crate::error::GuardNnError;
 use crate::isa::{Instruction, Response};
-use crate::memory::DeviceMemory;
+use crate::memory::{decode_i32, encode_i32, DeviceMemory};
 use crate::nn::forward_layer;
 use crate::session::{derive_channel_keys, ChannelEnd, SecureChannel};
 use guardnn_crypto::cert::{Certificate, Manufacturer};
@@ -307,7 +307,7 @@ impl GuardNnDevice {
                 }
                 let expected = model.layers()[layer].weight_elems() as usize;
                 let plaintext = session.channel.open(&message)?;
-                let weights = bytes_to_i32(&plaintext);
+                let weights = decode_i32(&plaintext);
                 if weights.len() != expected {
                     return Err(GuardNnError::ShapeMismatch {
                         expected,
@@ -341,7 +341,7 @@ impl GuardNnDevice {
                     .first()
                     .map_or(0, |l| l.input_elems() as usize);
                 let plaintext = session.channel.open(&message)?;
-                let input = bytes_to_i32(&plaintext);
+                let input = decode_i32(&plaintext);
                 if input.len() != expected {
                     return Err(GuardNnError::ShapeMismatch {
                         expected,
@@ -431,7 +431,7 @@ impl GuardNnDevice {
                     .as_ref()
                     .ok_or(GuardNnError::InvalidState("model without memory"))?;
                 let output = mem.read_features(edge, elems)?;
-                let bytes = i32_to_bytes(&output);
+                let bytes = encode_i32(&output);
                 if session.integrity {
                     session.attest.record_output(&bytes);
                     session.attest.record_instruction("EXPORTOUTPUT", &[]);
@@ -458,7 +458,7 @@ impl GuardNnDevice {
                     .last()
                     .map_or(0, |l| l.output_elems() as usize);
                 let plaintext = session.channel.open(&message)?;
-                let grad = bytes_to_i32(&plaintext);
+                let grad = decode_i32(&plaintext);
                 if grad.len() != expected {
                     return Err(GuardNnError::ShapeMismatch {
                         expected,
@@ -552,22 +552,6 @@ impl GuardNnDevice {
             }
         }
     }
-}
-
-fn bytes_to_i32(bytes: &[u8]) -> Vec<i32> {
-    bytes
-        .chunks_exact(4)
-        // lint:allow(panic-discipline) — chunks_exact(4) yields exactly 4 bytes
-        .map(|c| i32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
-}
-
-fn i32_to_bytes(data: &[i32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
 }
 
 #[cfg(test)]

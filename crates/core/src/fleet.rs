@@ -84,15 +84,6 @@ use guardnn_models::Network;
 use guardnn_obs::clock::ManualClock;
 use guardnn_obs::Recorder;
 
-/// Environment variable overriding [`FleetPolicy::per_device_budget`]
-/// (clamped to at least 1) when the policy is built with
-/// [`FleetPolicy::from_env`].
-pub const ENV_FLEET_BUDGET: &str = "GUARDNN_FLEET_BUDGET";
-
-/// Environment variable overriding [`FleetPolicy::max_retries`] when the
-/// policy is built with [`FleetPolicy::from_env`].
-pub const ENV_FLEET_RETRIES: &str = "GUARDNN_FLEET_RETRIES";
-
 /// Index of a device in a [`FleetSupervisor`]'s fleet (position in the
 /// `Vec` passed to [`FleetSupervisor::new`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -301,20 +292,6 @@ impl Default for FleetPolicy {
 }
 
 impl FleetPolicy {
-    /// The default policy with [`ENV_FLEET_BUDGET`] and
-    /// [`ENV_FLEET_RETRIES`] applied on top (unparsable values are
-    /// ignored).
-    pub fn from_env() -> Self {
-        let mut policy = Self::default();
-        if let Some(n) = env_u64(ENV_FLEET_BUDGET) {
-            policy.per_device_budget = (n.max(1)) as usize;
-        }
-        if let Some(n) = env_u64(ENV_FLEET_RETRIES) {
-            policy.max_retries = n.min(u64::from(u32::MAX)) as u32;
-        }
-        policy
-    }
-
     /// The backoff wait before retry `attempt` (0-based), in scheduler
     /// steps: exponential from [`FleetPolicy::base_backoff`], capped at
     /// [`FleetPolicy::max_backoff`], never below 1.
@@ -324,10 +301,6 @@ impl FleetPolicy {
             .unwrap_or(u64::MAX)
             .clamp(1, self.max_backoff.max(1))
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Lifecycle state of one fleet device.
@@ -1298,14 +1271,5 @@ mod tests {
             fleet.connect(),
             Err(GuardNnError::FleetOverloaded { .. })
         ));
-    }
-
-    #[test]
-    fn policy_env_knobs_parse() {
-        // Direct parse-path check (the env vars themselves are process
-        // globals; tests must not mutate them).
-        let policy = FleetPolicy::from_env();
-        assert!(policy.per_device_budget >= 1);
-        assert_eq!(policy.base_backoff, FleetPolicy::default().base_backoff);
     }
 }

@@ -19,6 +19,24 @@ fn align_up(x: u64) -> u64 {
 /// Byte width of one tensor element in device DRAM.
 pub const ELEM_BYTES: u64 = 4;
 
+/// The little-endian bytes of an i32 tensor: the element encoding of
+/// both the channel's sealed messages and protected DRAM.
+pub(crate) fn encode_i32(data: &[i32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() * ELEM_BYTES as usize);
+    for v in data {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// Inverse of [`encode_i32`]; a trailing partial element is ignored.
+pub(crate) fn decode_i32(bytes: &[u8]) -> Vec<i32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
+}
+
 /// Protected device memory bound to one model layout.
 #[derive(Debug)]
 pub struct DeviceMemory {
@@ -156,7 +174,7 @@ impl DeviceMemory {
             .map_err(|e| GuardNnError::IntegrityViolation {
                 chunk_addr: e.chunk_addr,
             })?;
-        Ok(from_bytes(&bytes))
+        Ok(decode_i32(&bytes))
     }
 
     /// Writes a weight tensor for `layer` under the current weight VN.
@@ -184,7 +202,7 @@ impl DeviceMemory {
             .map_err(|e| GuardNnError::IntegrityViolation {
                 chunk_addr: e.chunk_addr,
             })?;
-        Ok(from_bytes(&bytes))
+        Ok(decode_i32(&bytes))
     }
 
     /// Writes a feature tensor to `edge` under the current feature-write VN.
@@ -213,7 +231,7 @@ impl DeviceMemory {
             .map_err(|e| GuardNnError::IntegrityViolation {
                 chunk_addr: e.chunk_addr,
             })?;
-        Ok(from_bytes(&bytes))
+        Ok(decode_i32(&bytes))
     }
 
     /// Raw ciphertext view for adversary experiments (physical access).
@@ -228,23 +246,10 @@ impl DeviceMemory {
 }
 
 fn to_bytes(data: &[i32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = encode_i32(data);
     // Pad to the 16-byte AES block granularity.
-    while out.len() % 16 != 0 {
-        out.push(0);
-    }
+    out.resize(out.len().next_multiple_of(16), 0);
     out
-}
-
-fn from_bytes(bytes: &[u8]) -> Vec<i32> {
-    bytes
-        .chunks_exact(4)
-        // lint:allow(panic-discipline) — chunks_exact(4) yields exactly 4 bytes
-        .map(|c| i32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
 }
 
 #[cfg(test)]

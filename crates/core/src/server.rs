@@ -2,10 +2,13 @@
 //!
 //! The paper's deployment model (§II) is an *untrusted* host scheduling
 //! ciphertext-only instructions on one accelerator for many remote users.
-//! [`DeviceServer`] is that scheduler: it owns the [`GuardNnDevice`] and
-//! multiplexes N independent user sessions over it, keeping per-session
-//! host state (counter mirror, protocol phase, `SetReadCTR` checkpoint)
-//! in a session table keyed by [`SessionId`].
+//! [`DeviceServer`] is that scheduler, and the host's only one: it owns
+//! the [`GuardNnDevice`] and multiplexes N independent user sessions over
+//! it, keeping per-session host state (counter mirror, protocol phase,
+//! `SetReadCTR` checkpoint) in a session table keyed by [`SessionId`]. A
+//! *malicious* host's levers (wrong read counters, DRAM tampering) are the
+//! [`crate::adversary`] functions, which act on
+//! [`DeviceServer::device_mut`].
 //!
 //! Each session's protocol is an explicit state machine:
 //!
@@ -44,10 +47,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::device::GuardNnDevice;
+use crate::device::{GuardNnDevice, MAX_SESSIONS};
 use crate::error::GuardNnError;
-use crate::host::{edge_extent, HostCounterMirror};
 use crate::isa::{Instruction, Response};
+use crate::memory::ELEM_BYTES;
 use crate::session::RemoteUser;
 use guardnn_models::Network;
 use guardnn_obs::Recorder;
@@ -119,6 +122,72 @@ impl InstructionStats {
     fn record(&mut self, mnemonic: &'static str) {
         *self.counts.entry(mnemonic).or_insert(0) += 1;
     }
+}
+
+/// Mirror of the device's feature counters, maintained by the host from the
+/// public instruction stream ("the host CPU can easily reconstruct the VN",
+/// §II-D).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HostCounterMirror {
+    ctr_in: u32,
+    ctr_fw: u32,
+}
+
+impl HostCounterMirror {
+    /// Mirrors `SetInput`.
+    ///
+    /// # Errors
+    ///
+    /// [`GuardNnError::CounterExhausted`] when the mirrored `CTR_IN` would
+    /// wrap — the device refuses the same bump, so a wrapping mirror would
+    /// silently drift from the on-chip state and reuse a VN.
+    pub fn on_set_input(&mut self) -> Result<(), GuardNnError> {
+        self.ctr_in = self
+            .ctr_in
+            .checked_add(1)
+            .ok_or(GuardNnError::CounterExhausted { counter: "CTR_IN" })?;
+        self.ctr_fw = 0;
+        Ok(())
+    }
+
+    /// Mirrors a `Forward` (or `Backward`, `SetOutputGrad`) that wrote
+    /// features.
+    ///
+    /// # Errors
+    ///
+    /// [`GuardNnError::CounterExhausted`] when the mirrored `CTR_F,W`
+    /// would wrap (see [`HostCounterMirror::on_set_input`]).
+    pub fn on_forward(&mut self) -> Result<(), GuardNnError> {
+        self.ctr_fw = self
+            .ctr_fw
+            .checked_add(1)
+            .ok_or(GuardNnError::CounterExhausted { counter: "CTR_F,W" })?;
+        Ok(())
+    }
+
+    /// The VN the device used for its most recent feature write.
+    pub fn current_write_vn(&self) -> u64 {
+        ((self.ctr_in as u64) << 32) | self.ctr_fw as u64
+    }
+}
+
+/// Byte extent of a tensor region holding `elems` device elements, exactly
+/// as the device pads it: at least one 16-byte AES block even for empty
+/// tensors. Host-issued `SetReadCTR` ranges must use this same rule or the
+/// declared range drifts from the region the device actually reads.
+pub fn region_extent(elems: u64) -> u64 {
+    (elems * ELEM_BYTES).max(16)
+}
+
+/// Byte extent of feature (or gradient) edge `edge` of `network`: edge 0
+/// is the network input, edge `i + 1` is layer `i`'s output.
+pub fn edge_extent(network: &Network, edge: usize) -> u64 {
+    let elems = if edge == 0 {
+        network.layers().first().map_or(0, |l| l.input_elems())
+    } else {
+        network.layers()[edge - 1].output_elems()
+    };
+    region_extent(elems)
 }
 
 /// Program counter of one queued inference job: which instruction of the
@@ -282,22 +351,25 @@ impl DeviceServer {
         self.sessions.len()
     }
 
-    /// Issues one instruction, counting it on success.
-    fn exec(&mut self, instr: Instruction) -> Result<Response, GuardNnError> {
-        Self::exec_on(&mut self.device, &mut self.stats, instr)
+    /// The host's mirror of `session`'s feature counters: public
+    /// bookkeeping rebuilt from the instruction stream (§II-D).
+    pub fn counters(&self, session: SessionId) -> Option<HostCounterMirror> {
+        self.sessions.get(&session.0).map(|s| s.counters)
     }
 
-    /// Field-level variant of [`DeviceServer::exec`], for call sites (like
-    /// the training sweep's closure) that must hold other parts of `self`
-    /// while issuing instructions.
-    fn exec_on(
-        device: &mut GuardNnDevice,
-        stats: &mut InstructionStats,
-        instr: Instruction,
-    ) -> Result<Response, GuardNnError> {
+    /// Feature-write VN per edge of `session`'s most recently completed
+    /// forward pass (empty before the first), as the host logged it.
+    pub fn edge_vns(&self, session: SessionId) -> Option<&[u64]> {
+        self.sessions
+            .get(&session.0)
+            .map(|s| s.last_edge_vns.as_slice())
+    }
+
+    /// Issues one instruction, counting it on success.
+    fn exec(&mut self, instr: Instruction) -> Result<Response, GuardNnError> {
         let mnemonic = instr.mnemonic();
-        let response = device.execute(instr)?;
-        stats.record(mnemonic);
+        let response = self.device.execute(instr)?;
+        self.stats.record(mnemonic);
         Ok(response)
     }
 
@@ -348,9 +420,10 @@ impl DeviceServer {
     ///
     /// [`GuardNnError::BadCertificate`] when verification fails.
     pub fn connect(&mut self, user: &mut RemoteUser) -> Result<SessionId, GuardNnError> {
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        crate::host::authenticate(&mut |instr| Self::exec_on(device, stats, instr), user)?;
+        let Response::Pk(cert) = self.exec(Instruction::GetPk)? else {
+            return Err(GuardNnError::InvalidState("unexpected response to GetPk"));
+        };
+        user.authenticate_device(&cert)?;
         let id = self.next_id;
         self.next_id += 1;
         self.sessions.insert(
@@ -451,16 +524,10 @@ impl DeviceServer {
         if entry.state != SessionState::Provisioned {
             return Err(GuardNnError::InvalidState("establish needs Provisioned"));
         }
-        if self.device.session_count() >= crate::device::MAX_SESSIONS {
+        if self.device.session_count() >= MAX_SESSIONS {
             self.evict_lru_idle()?;
         }
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        match crate::host::run_key_exchange(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            user,
-            integrity,
-        ) {
+        match self.key_exchange(user, integrity) {
             Ok(device_sid) => {
                 // InitSession made the new device session the active
                 // hardware context; mirror it.
@@ -483,15 +550,45 @@ impl DeviceServer {
             }
             Err(e) => {
                 // Either InitSession failed (device context unchanged) or
-                // the user rejected the exchange and the helper closed the
-                // half-open session (device context cleared). Dropping the
-                // mirror is correct for both: the next instruction
+                // the user rejected the exchange and `key_exchange` closed
+                // the half-open session (device context cleared). Dropping
+                // the mirror is correct for both: the next instruction
                 // re-selects its context explicitly. The entry stays
                 // Provisioned for a clean retry.
                 self.active = None;
                 Err(e)
             }
         }
+    }
+
+    /// `begin_session` → `InitSession` → `complete_session`, closing the
+    /// half-open device session when the user rejects the device's
+    /// ephemeral public value — so repeated failed establishes can never
+    /// exhaust the on-chip session table. Returns the new device session
+    /// id.
+    fn key_exchange(
+        &mut self,
+        user: &mut RemoteUser,
+        integrity: bool,
+    ) -> Result<u64, GuardNnError> {
+        let user_public = user.begin_session();
+        let Response::SessionInit {
+            session,
+            device_public,
+        } = self.exec(Instruction::InitSession {
+            user_public,
+            enable_integrity: integrity,
+        })?
+        else {
+            return Err(GuardNnError::InvalidState(
+                "unexpected response to InitSession",
+            ));
+        };
+        if let Err(e) = user.complete_session(&device_public) {
+            let _ = self.exec(Instruction::CloseSession { session });
+            return Err(e);
+        }
+        Ok(session)
     }
 
     /// Declares the model and imports the session-encrypted weights:
@@ -517,13 +614,14 @@ impl DeviceServer {
         self.exec(Instruction::LoadModel {
             network: network.clone(),
         })?;
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        crate::host::import_weights(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            user,
-            weights,
-        )?;
+        for (layer, w) in weights.iter().enumerate() {
+            // Weightless layers (pooling) import nothing.
+            if w.is_empty() {
+                continue;
+            }
+            let message = user.encrypt_tensor(w)?;
+            self.exec(Instruction::SetWeight { layer, message })?;
+        }
         let entry = self.session_mut(session)?;
         entry.edge_extents = (0..=network.layers().len())
             .map(|edge| edge_extent(network, edge))
@@ -1018,7 +1116,6 @@ impl DeviceServer {
                 actual: output_grad.len(),
             });
         }
-        let layers = entry.edge_extents.len() - 1;
 
         // Forward pass (stashing per-edge VNs in `last_edge_vns`).
         let _ = self.infer(session, user, input)?;
@@ -1026,31 +1123,7 @@ impl DeviceServer {
         self.ensure_active(session)?;
 
         let message = user.encrypt_tensor(output_grad)?;
-        let regions = crate::host::TrainRegions::query(&self.device, layers)?;
-        // The sweep is one uninterruptible call (no other session can run
-        // mid-sweep), so no SetReadCTR checkpointing is needed — only the
-        // instruction stats. Disjoint field borrows let one closure drive
-        // the device while the session entry lends out its network,
-        // counter mirror, and edge VNs without cloning any of them.
-        let device = &mut self.device;
-        let stats = &mut self.stats;
-        let entry = self
-            .sessions
-            .get_mut(&session.0)
-            .ok_or(GuardNnError::UnknownSession { session: session.0 })?;
-        let network = entry
-            .network
-            .as_ref()
-            .ok_or(GuardNnError::InvalidState("no model loaded"))?;
-        let sweep = crate::host::run_backward_sweep(
-            &mut |instr| Self::exec_on(device, stats, instr),
-            &mut entry.counters,
-            network,
-            &regions,
-            &entry.last_edge_vns,
-            message,
-            lr_shift,
-        );
+        let sweep = self.backward_sweep(session, message, lr_shift);
         // Leave Training even on a failed sweep — the weights may be
         // half-updated (the user decides whether to retrain or discard),
         // but the session must stay usable rather than wedge in Training.
@@ -1059,6 +1132,76 @@ impl DeviceServer {
         entry.checkpoint.clear();
         entry.state = SessionState::ModelLoaded;
         sweep
+    }
+
+    /// Drives the training backward sweep — `SetOutputGrad`, then per layer
+    /// in reverse the feature + gradient `SetReadCTR` pair, `Backward`, and
+    /// (for weighted layers) the weight-gradient `SetReadCTR` +
+    /// `UpdateWeight` — with the `CTR_F,W` mirror bookkeeping. The sweep
+    /// runs in one call (no other session can run mid-sweep), so no
+    /// `SetReadCTR` is checkpointed.
+    fn backward_sweep(
+        &mut self,
+        session: SessionId,
+        output_grad_message: Vec<u8>,
+        lr_shift: u32,
+    ) -> Result<(), GuardNnError> {
+        let entry = self.session_mut(session)?;
+        let network = entry
+            .network
+            .as_ref()
+            .ok_or(GuardNnError::InvalidState("no model loaded"))?;
+        // Weight-gradient extent per weighted layer, read up front so the
+        // loop below issues instructions without borrowing the session.
+        let wgrad_extents: Vec<Option<u64>> = network
+            .layers()
+            .iter()
+            .map(|l| l.has_weights().then(|| region_extent(l.weight_elems())))
+            .collect();
+        let edge_extents = entry.edge_extents.clone();
+        let edge_vns = entry.last_edge_vns.clone();
+
+        // Loss gradient for the final edge; SetOutputGrad bumps CTR_F,W.
+        self.exec(Instruction::SetOutputGrad {
+            message: output_grad_message,
+        })?;
+        let counters = &mut self.session_mut(session)?.counters;
+        counters.on_forward()?;
+        let mut grad_vn = counters.current_write_vn();
+
+        for layer in (0..wgrad_extents.len()).rev() {
+            // The device reads: stashed features of edge `layer`, gradient
+            // of edge `layer + 1`.
+            let start = self.device.feature_region(layer)?;
+            self.exec(Instruction::SetReadCtr {
+                start,
+                end: start + edge_extents[layer],
+                vn: edge_vns[layer],
+            })?;
+            let start = self.device.grad_region(layer + 1)?;
+            self.exec(Instruction::SetReadCtr {
+                start,
+                end: start + edge_extents[layer + 1],
+                vn: grad_vn,
+            })?;
+            self.exec(Instruction::Backward { layer })?;
+            let counters = &mut self.session_mut(session)?.counters;
+            counters.on_forward()?; // Backward bumps CTR_F,W
+            grad_vn = counters.current_write_vn();
+
+            if let Some(extent) = wgrad_extents[layer] {
+                // The weight gradient was written with the same VN as the
+                // input gradient of this layer.
+                let start = self.device.wgrad_region(layer)?;
+                self.exec(Instruction::SetReadCtr {
+                    start,
+                    end: start + extent,
+                    vn: grad_vn,
+                })?;
+                self.exec(Instruction::UpdateWeight { layer, lr_shift })?;
+            }
+        }
+        Ok(())
     }
 
     /// Requests and verifies the session's signed attestation report
@@ -1118,7 +1261,6 @@ impl DeviceServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::GuardNnDevice;
     use crate::testnet;
 
     fn server_with_users(n: usize) -> (DeviceServer, Vec<RemoteUser>) {
@@ -1463,6 +1605,71 @@ mod tests {
     }
 
     #[test]
+    fn training_cnn_with_pool_and_integrity() {
+        let (mut server, mut users) = server_with_users(1);
+        let net = testnet::tiny_cnn();
+        let weights = testnet::deterministic_weights(&net, 3);
+        let sid = full_setup(&mut server, &mut users[0], &net, &weights, true);
+        let input: Vec<i32> = (0..16).map(|i| (i % 4) - 1).collect();
+        let d_out = vec![1, -1, 2, -2];
+        server
+            .train_step(sid, &mut users[0], &input, &d_out, 1)
+            .expect("train");
+        let probe: Vec<i32> = (0..16).map(|i| 2 - (i % 3)).collect();
+        let out = server.infer(sid, &mut users[0], &probe).expect("probe");
+        let updated = testnet::reference_train_step(&net, &weights, &input, &d_out, 1);
+        assert_eq!(out, testnet::reference_forward(&net, &updated, &probe));
+    }
+
+    #[test]
+    fn multiple_training_steps_accumulate() {
+        let (mut server, mut users) = server_with_users(1);
+        let net = testnet::tiny_mlp();
+        let mut ref_weights = testnet::tiny_mlp_weights(2);
+        let sid = full_setup(&mut server, &mut users[0], &net, &ref_weights, false);
+        for step in 0..3 {
+            let input: Vec<i32> = (0..8).map(|i| i + step).collect();
+            let d_out = vec![step + 1, -(step + 1)];
+            server
+                .train_step(sid, &mut users[0], &input, &d_out, 2)
+                .expect("train");
+            ref_weights = testnet::reference_train_step(&net, &ref_weights, &input, &d_out, 2);
+        }
+        let probe = vec![1, 0, 1, 0, 1, 0, 1, 0];
+        let out = server.infer(sid, &mut users[0], &probe).expect("probe");
+        assert_eq!(out, testnet::reference_forward(&net, &ref_weights, &probe));
+    }
+
+    #[test]
+    fn counter_mirror_tracks_device() {
+        let mut m = HostCounterMirror::default();
+        m.on_set_input().expect("bump");
+        assert_eq!(m.current_write_vn(), 1 << 32);
+        m.on_forward().expect("bump");
+        assert_eq!(m.current_write_vn(), (1 << 32) | 1);
+        m.on_set_input().expect("bump");
+        assert_eq!(m.current_write_vn(), 2 << 32);
+    }
+
+    #[test]
+    fn counter_mirror_refuses_to_wrap() {
+        let mut m = HostCounterMirror {
+            ctr_in: u32::MAX,
+            ctr_fw: u32::MAX,
+        };
+        assert_eq!(
+            m.on_set_input().unwrap_err(),
+            GuardNnError::CounterExhausted { counter: "CTR_IN" }
+        );
+        assert_eq!(
+            m.on_forward().unwrap_err(),
+            GuardNnError::CounterExhausted { counter: "CTR_F,W" }
+        );
+        // Failed bumps must not move the mirror.
+        assert_eq!(m.current_write_vn(), u64::MAX);
+    }
+
+    #[test]
     fn wrong_grad_shape_rejected_without_wedging_training_state() {
         let (mut server, mut users) = server_with_users(1);
         let net = testnet::tiny_mlp();
@@ -1495,7 +1702,6 @@ mod tests {
 
     #[test]
     fn full_table_evicts_lru_idle_session_and_slot_is_reusable() {
-        use crate::device::MAX_SESSIONS;
         let (mut server, mut users) = server_with_users(MAX_SESSIONS + 1);
         let mut sids = Vec::new();
         for user in users.iter_mut().take(MAX_SESSIONS) {
@@ -1550,7 +1756,6 @@ mod tests {
 
     #[test]
     fn active_sessions_are_never_evicted() {
-        use crate::device::MAX_SESSIONS;
         let net = testnet::tiny_mlp();
         let weights = testnet::tiny_mlp_weights(4);
         let (mut server, mut users) = server_with_users(MAX_SESSIONS + 1);
@@ -1592,7 +1797,6 @@ mod tests {
 
     #[test]
     fn all_sessions_active_refuses_new_establish() {
-        use crate::device::MAX_SESSIONS;
         let net = testnet::tiny_mlp();
         let weights = testnet::tiny_mlp_weights(2);
         let (mut server, mut users) = server_with_users(MAX_SESSIONS + 1);

@@ -39,6 +39,7 @@
 
 use crate::attestation::AttestationReport;
 use crate::error::GuardNnError;
+use crate::memory::{decode_i32, encode_i32};
 use guardnn_crypto::bigint::BigUint;
 use guardnn_crypto::cert::Certificate;
 use guardnn_crypto::cmac::Cmac;
@@ -261,11 +262,7 @@ impl RemoteUser {
     ///
     /// [`GuardNnError::NoSession`] before the session completes.
     pub fn encrypt_tensor(&mut self, data: &[i32]) -> Result<Vec<u8>, GuardNnError> {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.channel_mut()?.seal(&bytes)
+        self.channel_mut()?.seal(&encode_i32(data))
     }
 
     /// Decrypts an `ExportOutput` message back to an i32 tensor.
@@ -275,12 +272,7 @@ impl RemoteUser {
     /// [`GuardNnError::ChannelAuth`] on tamper/replay;
     /// [`GuardNnError::NoSession`] before the session completes.
     pub fn decrypt_tensor(&mut self, wire: &[u8]) -> Result<Vec<i32>, GuardNnError> {
-        let bytes = self.channel_mut()?.open(wire)?;
-        Ok(bytes
-            .chunks_exact(4)
-            // lint:allow(panic-discipline) — chunks_exact(4) yields exactly 4 bytes
-            .map(|c| i32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+        Ok(decode_i32(&self.channel_mut()?.open(wire)?))
     }
 
     /// Verifies a signed attestation report against the pinned device key

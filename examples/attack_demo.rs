@@ -13,7 +13,7 @@
 
 use guardnn::adversary::{mount_physical_attack, AttackOutcome, PhysicalFault};
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
@@ -46,13 +46,15 @@ fn main() -> Result<(), GuardNnError> {
             // Fresh session per attack: a detected tamper poisons the
             // session (by design), and a garbled one leaves stale state.
             let seed = 100 * (integrity as u64 + 1) + i as u64;
-            let (mut device, maker_pk) = GuardNnDevice::provision(0xA77A, seed);
+            let (device, maker_pk) = GuardNnDevice::provision(0xA77A, seed);
             let mut user = RemoteUser::new(maker_pk, seed ^ 1);
-            let mut host = UntrustedHost::new();
-            host.establish(&mut device, &mut user, &net, &weights, integrity)?;
+            let mut host = DeviceServer::new(device);
+            let session = host.connect(&mut user)?;
+            host.establish(session, &mut user, integrity)?;
+            host.load_model(session, &mut user, &net, &weights)?;
 
             let outcome =
-                mount_physical_attack(&mut device, &mut user, &mut host, &net, &input, *fault)?;
+                mount_physical_attack(&mut host, session, &mut user, &net, &input, *fault)?;
             match outcome {
                 AttackOutcome::Detected(e) => {
                     assert!(integrity, "{name}: detected without integrity?");

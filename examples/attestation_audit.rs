@@ -11,8 +11,8 @@
 
 use guardnn::attestation::AttestationState;
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
 use guardnn::isa::{Instruction, Response};
+use guardnn::server::{edge_extent, DeviceServer};
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
@@ -21,7 +21,6 @@ use guardnn::GuardNnError;
 /// protocol on `tiny_mlp`.
 fn expected_report(
     device: &GuardNnDevice,
-    host: &UntrustedHost,
     weights: &[Vec<i32>],
     input: &[i32],
     output: &[i32],
@@ -65,35 +64,34 @@ fn expected_report(
     }
     st.record_output(&out_bytes);
     st.record_instruction("EXPORTOUTPUT", &[]);
-    let _ = host;
     st.report(device.device_id())
 }
 
 fn main() -> Result<(), GuardNnError> {
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(0xB10B, 11);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(0xB10B, 11);
     let mut user = RemoteUser::new(manufacturer_pk, 12);
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(9);
     let input = vec![5, 4, 3, 2, 1, 0, -1, -2];
 
-    let mut host = UntrustedHost::new();
-    let output = host.run_inference(&mut device, &mut user, &net, &weights, &input, true)?;
+    let mut host = DeviceServer::new(device);
+    let session = host.connect(&mut user)?;
+    host.establish(session, &mut user, true)?;
+    host.load_model(session, &mut user, &net, &weights)?;
+    let output = host.infer(session, &mut user, &input)?;
     println!("inference done, output = {output:?}");
 
     // The host publishes its (public) SetReadCTR log; the user reconstructs
     // the expected attestation state from it.
+    let vns = host.edge_vns(session).expect("live session").to_vec();
+    let device = host.device_mut();
     let mut log = Vec::new();
-    for (edge, vn) in (0..=net.layers().len()).zip(1u64 << 32..) {
+    for (edge, vn) in vns.into_iter().enumerate() {
         let start = device.feature_region(edge)?;
-        let bytes = if edge == 0 {
-            net.layers()[0].input_elems() * 4
-        } else {
-            net.layers()[edge - 1].output_elems() * 4
-        };
-        log.push((start, start + bytes.max(16), vn));
+        log.push((start, start + edge_extent(&net, edge), vn));
     }
 
-    let expected = expected_report(&device, &host, &weights, &input, &output, &log);
+    let expected = expected_report(device, &weights, &input, &output, &log);
 
     // Honest case: signature verifies against the expected report.
     let Response::Attestation { report, signature } = device.execute(Instruction::SignOutput)?
@@ -106,7 +104,7 @@ fn main() -> Result<(), GuardNnError> {
     // Dishonest case: pretend the host claimed a different input was used.
     let mut tampered_input = input.clone();
     tampered_input[0] ^= 1;
-    let wrong = expected_report(&device, &host, &weights, &tampered_input, &output, &log);
+    let wrong = expected_report(device, &weights, &tampered_input, &output, &log);
     match user.verify_attestation(&report, &signature, &wrong) {
         Err(GuardNnError::BadAttestation) => {
             println!("tampered claim REJECTED: input hash does not match the signed report");

@@ -9,14 +9,14 @@
 
 use guardnn::adversary;
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 
 fn main() -> Result<(), guardnn::GuardNnError> {
     // 1. Manufacturing: the device is provisioned with a fused private key
     //    and a certificate; the user pins the manufacturer's public key.
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(0xD0C5, 2024);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(0xD0C5, 2024);
     let mut user = RemoteUser::new(manufacturer_pk, 7);
     println!("provisioned device {:#06x}", device.device_id());
 
@@ -31,9 +31,14 @@ fn main() -> Result<(), guardnn::GuardNnError> {
     );
 
     // 3. The untrusted host schedules everything; it relays ciphertext and
-    //    issues GuardNN instructions, but can never see the tensors.
-    let mut host = UntrustedHost::new();
-    let output = host.run_inference(&mut device, &mut user, &network, &weights, &input, true)?;
+    //    issues GuardNN instructions, but can never see the tensors: the
+    //    user checks the device certificate, runs the key exchange, ships
+    //    encrypted weights, then one encrypted input.
+    let mut host = DeviceServer::new(device);
+    let session = host.connect(&mut user)?;
+    host.establish(session, &mut user, true)?;
+    host.load_model(session, &mut user, &network, &weights)?;
+    let output = host.infer(session, &mut user, &input)?;
     println!("decrypted output: {output:?}");
 
     // 4. Verify against an unprotected reference computation.
@@ -42,7 +47,7 @@ fn main() -> Result<(), guardnn::GuardNnError> {
     println!("matches unprotected reference: {reference:?}");
 
     // 5. What a physical attacker probing DRAM actually sees: ciphertext.
-    let probe = adversary::probe_dram(&mut device, 0x1000, 32)?;
+    let probe = adversary::probe_dram(host.device_mut(), 0x1000, 32)?;
     println!("DRAM probe at 0x1000: {probe:02x?}");
     Ok(())
 }

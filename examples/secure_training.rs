@@ -11,19 +11,21 @@
 //! Run with `cargo run -p guardnn --example secure_training`.
 
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
 
 fn main() -> Result<(), GuardNnError> {
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(0x7123, 99);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(0x7123, 99);
     let mut user = RemoteUser::new(manufacturer_pk, 100);
     let net = testnet::tiny_mlp();
     let mut reference_weights = testnet::tiny_mlp_weights(4);
 
-    let mut host = UntrustedHost::new();
-    host.establish(&mut device, &mut user, &net, &reference_weights, true)?;
+    let mut host = DeviceServer::new(device);
+    let session = host.connect(&mut user)?;
+    host.establish(session, &mut user, true)?;
+    host.load_model(session, &mut user, &net, &reference_weights)?;
     println!("session established; initial weights imported (encrypted)");
 
     // A fixed "dataset": one binary sample with a modest integer target
@@ -35,19 +37,19 @@ fn main() -> Result<(), GuardNnError> {
     for step in 0..5 {
         // The user computes the loss gradient from the decrypted output —
         // plain squared error: d = 2·(y − t), here simplified to (y − t).
-        let (y, _) = host.infer(&mut device, &mut user, &net, &input)?;
+        let y = host.infer(session, &mut user, &input)?;
         let d_out: Vec<i32> = y.iter().zip(target.iter()).map(|(a, b)| a - b).collect();
         let loss: i64 = d_out.iter().map(|&d| (d as i64).pow(2)).sum();
         println!("step {step}: output {y:?}  loss {loss}");
 
-        host.train_step(&mut device, &mut user, &net, &input, &d_out, lr_shift)?;
+        host.train_step(session, &mut user, &input, &d_out, lr_shift)?;
         reference_weights =
             testnet::reference_train_step(&net, &reference_weights, &input, &d_out, lr_shift);
     }
 
     // Verify: the device's (encrypted, device-resident) weights compute
     // identically to the reference-updated weights.
-    let (final_y, _) = host.infer(&mut device, &mut user, &net, &input)?;
+    let final_y = host.infer(session, &mut user, &input)?;
     let reference_y = testnet::reference_forward(&net, &reference_weights, &input);
     assert_eq!(final_y, reference_y);
     println!("final output {final_y:?} — bit-exact with the unprotected reference");

@@ -14,10 +14,8 @@ use guardnn::adversary::{
 };
 use guardnn::device::{GuardNnDevice, MAX_SESSIONS};
 use guardnn::fleet::{DeviceFaultPlan, DeviceId, FleetPolicy, FleetSessionId, FleetSupervisor};
-use guardnn::host::UntrustedHost;
-use guardnn::isa::Instruction;
 use guardnn::perf::Scheme;
-use guardnn::server::{DeviceServer, SessionState, StepProgress};
+use guardnn::server::{DeviceServer, SessionId, SessionState, StepProgress};
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
@@ -25,15 +23,16 @@ use guardnn_crypto::schnorr::VerifyingKey;
 use guardnn_models::Network;
 
 use super::{integrity_of, ChaosConfig, Outcome, ScenarioResult};
+use crate::serve;
 
 const WEIGHT_SEED: i32 = 7;
 
-/// One established single-session world: device, user, relay host, and
-/// the model both sides agreed on.
+/// One single-session world with its model loaded: the serving host, the
+/// session, its user, and the model both sides agreed on.
 struct Rig {
-    device: GuardNnDevice,
+    server: DeviceServer,
+    sid: SessionId,
     user: RemoteUser,
-    host: UntrustedHost,
     net: Network,
     weights: Vec<Vec<i32>>,
 }
@@ -41,14 +40,14 @@ struct Rig {
 fn rig(scheme: Scheme, cfg: &ChaosConfig) -> Result<Rig, GuardNnError> {
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(WEIGHT_SEED);
-    let (mut device, maker_pk) = GuardNnDevice::provision(cfg.seed ^ 0xD00D, cfg.seed ^ 0xFA);
+    let (device, maker_pk) = GuardNnDevice::provision(cfg.seed ^ 0xD00D, cfg.seed ^ 0xFA);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(maker_pk, cfg.seed ^ 0x5EED);
-    let mut host = UntrustedHost::new();
-    host.establish(&mut device, &mut user, &net, &weights, integrity_of(scheme))?;
+    let sid = serve(&mut server, &mut user, &net, &weights, integrity_of(scheme))?;
     Ok(Rig {
-        device,
+        server,
+        sid,
         user,
-        host,
         net,
         weights,
     })
@@ -66,7 +65,7 @@ fn base_input(seed: u64) -> Vec<i32> {
 fn clean_twin(scheme: Scheme, cfg: &ChaosConfig) -> Result<bool, GuardNnError> {
     let mut c = rig(scheme, cfg)?;
     let input = base_input(cfg.seed);
-    let (out, _) = c.host.infer(&mut c.device, &mut c.user, &c.net, &input)?;
+    let out = c.server.infer(c.sid, &mut c.user, &input)?;
     Ok(out == testnet::tiny_mlp_reference(&c.weights, &input))
 }
 
@@ -90,8 +89,12 @@ fn host_fault(
         .collect();
     let at = (len / 2).min(len - 2);
     let mut r = rig(scheme, cfg)?;
-    let (_, err) =
-        run_tampered_input_stream(&mut r.device, &mut r.user, &inputs, FaultPlan { fault, at })?;
+    let (_, err) = run_tampered_input_stream(
+        r.server.device_mut(),
+        &mut r.user,
+        &inputs,
+        FaultPlan { fault, at },
+    )?;
     let tampered = match err {
         Some(e) => Outcome::Detected(e.name()),
         None => Outcome::Clean,
@@ -129,14 +132,7 @@ fn physical(
 ) -> Result<ScenarioResult, GuardNnError> {
     let input = base_input(cfg.seed);
     let mut r = rig(scheme, cfg)?;
-    let outcome = mount_physical_attack(
-        &mut r.device,
-        &mut r.user,
-        &mut r.host,
-        &r.net,
-        &input,
-        fault,
-    )?;
+    let outcome = mount_physical_attack(&mut r.server, r.sid, &mut r.user, &r.net, &input, fault)?;
     let tampered = match outcome {
         AttackOutcome::Detected(e) => Outcome::Detected(e.name()),
         AttackOutcome::Garbled { output, reference } => {
@@ -188,9 +184,7 @@ pub(super) fn preempt_storm(
     let mut inputs = Vec::with_capacity(n);
     for i in 0..n {
         let mut user = RemoteUser::new(maker_pk.clone(), cfg.seed.wrapping_add(i as u64 * 11 + 1));
-        let sid = server.connect(&mut user)?;
-        server.establish(sid, &mut user, integrity)?;
-        server.load_model(sid, &mut user, &net, &weights)?;
+        let sid = serve(&mut server, &mut user, &net, &weights, integrity)?;
         let input = base_input(cfg.seed.wrapping_add(i as u64));
         server.begin_infer(sid, &mut user, &input)?;
         users.push(user);
@@ -254,9 +248,7 @@ pub(super) fn cancel_churn(
     let (device, maker_pk) = GuardNnDevice::provision(cfg.seed ^ 0xCAFE, cfg.seed ^ 0xC2);
     let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(maker_pk, cfg.seed ^ 0xAB);
-    let sid = server.connect(&mut user)?;
-    server.establish(sid, &mut user, integrity)?;
-    server.load_model(sid, &mut user, &net, &weights)?;
+    let sid = serve(&mut server, &mut user, &net, &weights, integrity)?;
 
     let batch: Vec<Vec<i32>> = (0..3).map(|k| vec![k + 1; 8]).collect();
     for input in &batch {
@@ -342,27 +334,26 @@ pub(super) fn ctr_exhaust(
     let mut r = rig(scheme, cfg)?;
     let input = base_input(cfg.seed);
     let reference = testnet::tiny_mlp_reference(&r.weights, &input);
-    let (out, _) = r.host.infer(&mut r.device, &mut r.user, &r.net, &input)?;
-    let mut clean = out == reference;
+    let mut clean = r.server.infer(r.sid, &mut r.user, &input)? == reference;
 
-    park_counters(&mut r.device, u32::MAX, 0, 0)?;
+    park_counters(r.server.device_mut(), u32::MAX, 0, 0)?;
     let message = r.user.encrypt_tensor(&input)?;
-    let tampered = match r.device.execute(Instruction::SetInput { message }) {
+    let tampered = match r.server.inject_sealed_input(r.sid, message) {
         Err(e) => Outcome::Detected(e.name()),
         Ok(_) => Outcome::Clean,
     };
 
-    // Recovery: re-key (the host closes its old slot first), then the
+    // Recovery: re-key (the host closes the old slot first), then the
     // same user infers bit-exact again under the fresh counters.
-    r.host.establish(
-        &mut r.device,
+    r.server.disconnect(r.sid)?;
+    let sid = serve(
+        &mut r.server,
         &mut r.user,
         &r.net,
         &r.weights,
         integrity_of(scheme),
     )?;
-    let (out, _) = r.host.infer(&mut r.device, &mut r.user, &r.net, &input)?;
-    clean &= out == reference;
+    clean &= r.server.infer(sid, &mut r.user, &input)? == reference;
     Ok(ScenarioResult { tampered, clean })
 }
 

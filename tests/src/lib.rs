@@ -11,3 +11,28 @@
 #![deny(missing_docs)]
 
 pub mod chaos;
+
+use guardnn::server::{DeviceServer, SessionId};
+use guardnn::session::RemoteUser;
+use guardnn::GuardNnError;
+use guardnn_models::Network;
+
+/// Admits `user` to `server` with `network` loaded — `connect` →
+/// `establish` → `load_model`, the honest set-up every served-session
+/// suite starts from.
+///
+/// # Errors
+///
+/// Whatever the three protocol steps surface.
+pub fn serve(
+    server: &mut DeviceServer,
+    user: &mut RemoteUser,
+    network: &Network,
+    weights: &[Vec<i32>],
+    integrity: bool,
+) -> Result<SessionId, GuardNnError> {
+    let sid = server.connect(user)?;
+    server.establish(sid, user, integrity)?;
+    server.load_model(sid, user, network, weights)?;
+    Ok(sid)
+}

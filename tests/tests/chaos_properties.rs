@@ -3,34 +3,31 @@
 //! an old version number replayable.
 
 use guardnn::adversary::{
-    park_counters, replay_chunk, run_tampered_input_stream, snapshot_chunk, FaultPlan,
+    park_counters, replay_chunk, run_tampered_input_stream, set_read_ctr_for_edge, snapshot_chunk,
+    FaultPlan,
 };
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
 use guardnn::isa::Instruction;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
+use guardnn_tests::serve;
 use proptest::prelude::*;
 
 /// A fresh single-session world with the model loaded and one honest
 /// inference already run.
-fn loaded(integrity: bool) -> (GuardNnDevice, RemoteUser, UntrustedHost) {
-    let (mut device, maker_pk) = GuardNnDevice::provision(0xC0, 0x11AF);
+fn loaded(integrity: bool) -> (DeviceServer, RemoteUser) {
+    let (device, maker_pk) = GuardNnDevice::provision(0xC0, 0x11AF);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(maker_pk, 0x2EED);
-    let mut host = UntrustedHost::new();
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(7);
-    host.run_inference(
-        &mut device,
-        &mut user,
-        &net,
-        &weights,
-        &[9, 8, 7, 6, 5, 4, 3, 2],
-        integrity,
-    )
-    .expect("honest inference");
-    (device, user, host)
+    let sid = serve(&mut server, &mut user, &net, &weights, integrity).expect("serve");
+    server
+        .infer(sid, &mut user, &[9, 8, 7, 6, 5, 4, 3, 2])
+        .expect("honest inference");
+    (server, user)
 }
 
 proptest! {
@@ -43,8 +40,8 @@ proptest! {
     fn random_fault_plans_always_detected(seed in any::<u64>()) {
         let inputs: Vec<Vec<i32>> = (0..5).map(|i| vec![i - 2; 8]).collect();
         let plan = FaultPlan::from_seed(seed, inputs.len());
-        let (mut device, mut user, _host) = loaded(true);
-        let (_, err) = run_tampered_input_stream(&mut device, &mut user, &inputs, plan)
+        let (mut server, mut user) = loaded(true);
+        let (_, err) = run_tampered_input_stream(server.device_mut(), &mut user, &inputs, plan)
             .expect("stream runs");
         prop_assert!(
             err == Some(GuardNnError::ChannelAuth),
@@ -65,46 +62,43 @@ fn counter_exhaustion_recovery() {
     let input = [9, 8, 7, 6, 5, 4, 3, 2];
     let reference = testnet::tiny_mlp_reference(&weights, &input);
 
-    let (mut device, maker_pk) = GuardNnDevice::provision(0xC1, 0x11B0);
+    let (device, maker_pk) = GuardNnDevice::provision(0xC1, 0x11B0);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(maker_pk, 0x2EEE);
-    let mut host = UntrustedHost::new();
-    host.establish(&mut device, &mut user, &net, &weights, true)
-        .expect("establish");
-    let (out, old_vns) = host
-        .infer(&mut device, &mut user, &net, &input)
-        .expect("infer");
+    let sid = serve(&mut server, &mut user, &net, &weights, true).expect("serve");
+    let out = server.infer(sid, &mut user, &input).expect("infer");
     assert_eq!(out, reference);
+    let old_vns = server.edge_vns(sid).expect("live session").to_vec();
 
     // Capture edge 1 (layer 0's output) under the first key epoch.
+    let device = server.device_mut();
     let edge1 = device.feature_region(1).expect("layout");
-    let stale = snapshot_chunk(&mut device, edge1).expect("snapshot");
+    let stale = snapshot_chunk(device, edge1).expect("snapshot");
 
     // Exhaust CTR_IN at the u32 boundary: the next sealed input refuses
     // with a typed error instead of reusing a version number.
-    park_counters(&mut device, u32::MAX, 0, 0).expect("park");
+    park_counters(device, u32::MAX, 0, 0).expect("park");
     let message = user.encrypt_tensor(&input).expect("seal");
     assert_eq!(
-        device
-            .execute(Instruction::SetInput { message })
-            .unwrap_err(),
+        server.inject_sealed_input(sid, message).unwrap_err(),
         GuardNnError::CounterExhausted { counter: "CTR_IN" }
     );
 
-    // Recovery: re-key on the same device slot (the host closes its old
-    // session first, so the table does not grow) and serve bit-exact.
-    host.establish(&mut device, &mut user, &net, &weights, true)
-        .expect("re-key");
-    assert_eq!(device.session_count(), 1, "re-key reuses the slot");
-    let (out, _) = host
-        .infer(&mut device, &mut user, &net, &input)
+    // Recovery: re-key (the old session closes first, so the table does
+    // not grow) and serve bit-exact.
+    server.disconnect(sid).expect("close the exhausted session");
+    let sid = serve(&mut server, &mut user, &net, &weights, true).expect("re-key");
+    assert_eq!(server.device().session_count(), 1, "re-key reuses the slot");
+    let out = server
+        .infer(sid, &mut user, &input)
         .expect("infer after re-key");
     assert_eq!(out, reference);
 
     // Old version numbers are dead with the old keys: replaying the
     // stale chunk AND its old VN must fail integrity, not decrypt.
-    replay_chunk(&mut device, stale).expect("replay");
-    host.set_read_ctr_for_edge(&mut device, &net, 1, old_vns[1])
-        .expect("declare stale VN");
+    let device = server.device_mut();
+    replay_chunk(device, stale).expect("replay");
+    set_read_ctr_for_edge(device, &net, 1, old_vns[1]).expect("declare stale VN");
     assert!(
         matches!(
             device.execute(Instruction::Forward { layer: 1 }),

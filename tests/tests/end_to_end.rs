@@ -2,11 +2,13 @@
 //! device, host, and memory-protection crates.
 
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
 use guardnn::isa::{Instruction, Response};
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
+use guardnn_models::Network;
+use guardnn_tests::serve;
 
 fn fresh(seed: u64) -> (GuardNnDevice, RemoteUser) {
     let (device, manufacturer_pk) = GuardNnDevice::provision(seed, seed.wrapping_mul(31));
@@ -14,27 +16,41 @@ fn fresh(seed: u64) -> (GuardNnDevice, RemoteUser) {
     (device, user)
 }
 
+/// The full honest protocol for one input in a new session on `server`:
+/// connect → establish → load_model → infer.
+fn run_inference(
+    server: &mut DeviceServer,
+    user: &mut RemoteUser,
+    net: &Network,
+    weights: &[Vec<i32>],
+    input: &[i32],
+    integrity: bool,
+) -> Result<Vec<i32>, GuardNnError> {
+    let sid = serve(server, user, net, weights, integrity)?;
+    server.infer(sid, user, input)
+}
+
 #[test]
 fn mlp_inference_with_integrity_matches_reference() {
-    let (mut device, mut user) = fresh(1);
+    let (device, mut user) = fresh(1);
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(7);
     let input = vec![10, -20, 30, -40, 50, -60, 70, -80];
-    let out = UntrustedHost::new()
-        .run_inference(&mut device, &mut user, &net, &weights, &input, true)
-        .expect("protocol");
+    let mut server = DeviceServer::new(device);
+    let out =
+        run_inference(&mut server, &mut user, &net, &weights, &input, true).expect("protocol");
     assert_eq!(out, testnet::tiny_mlp_reference(&weights, &input));
 }
 
 #[test]
 fn cnn_inference_without_integrity_matches_reference() {
-    let (mut device, mut user) = fresh(2);
+    let (device, mut user) = fresh(2);
     let net = testnet::tiny_cnn();
     let weights = testnet::deterministic_weights(&net, 4);
     let input: Vec<i32> = (0..16).map(|i| i * i % 7 - 3).collect();
-    let out = UntrustedHost::new()
-        .run_inference(&mut device, &mut user, &net, &weights, &input, false)
-        .expect("protocol");
+    let mut server = DeviceServer::new(device);
+    let out =
+        run_inference(&mut server, &mut user, &net, &weights, &input, false).expect("protocol");
     assert_eq!(out, testnet::reference_forward(&net, &weights, &input));
 }
 
@@ -42,14 +58,14 @@ fn cnn_inference_without_integrity_matches_reference() {
 fn multiple_inputs_in_one_session() {
     // Re-running the full protocol per input re-keys each time; but the
     // same device can also serve several sequential sessions.
-    let (mut device, mut user) = fresh(3);
+    let (device, mut user) = fresh(3);
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(1);
+    let mut server = DeviceServer::new(device);
     for trial in 0..3 {
         let input: Vec<i32> = (0..8).map(|i| i + trial).collect();
-        let out = UntrustedHost::new()
-            .run_inference(&mut device, &mut user, &net, &weights, &input, true)
-            .expect("protocol");
+        let out =
+            run_inference(&mut server, &mut user, &net, &weights, &input, true).expect("protocol");
         assert_eq!(
             out,
             testnet::tiny_mlp_reference(&weights, &input),
@@ -63,8 +79,6 @@ fn device_server_batch_matches_serial_across_crates() {
     // Integration-level pin of the batching contract: infer_batch over N
     // inputs in one session is bit-identical to N serial infer calls and
     // costs exactly one key exchange + one weight import.
-    use guardnn::server::DeviceServer;
-
     let net = testnet::tiny_cnn();
     let weights = testnet::deterministic_weights(&net, 4);
     let inputs: Vec<Vec<i32>> = (0..4)
@@ -192,13 +206,13 @@ fn export_before_forward_rejected() {
 
 #[test]
 fn session_reinit_clears_state() {
-    let (mut device, mut user) = fresh(7);
+    let (device, mut user) = fresh(7);
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(1);
     let input = vec![1; 8];
-    UntrustedHost::new()
-        .run_inference(&mut device, &mut user, &net, &weights, &input, true)
-        .expect("first run");
+    let mut server = DeviceServer::new(device);
+    run_inference(&mut server, &mut user, &net, &weights, &input, true).expect("first run");
+    let device = server.device_mut();
     // A new InitSession wipes keys and model state: Forward must fail until
     // the model is reloaded.
     let up = user.begin_session();

@@ -263,15 +263,21 @@ proptest! {
         let mut target = builtin_targets()[0].clone();
         let d = &mut target.dram;
         d.channels = 1 + geometry[0] % 4;
-        d.ranks = [1, 2, 3, 4, 8][(geometry[1] % 5) as usize];
+        // Geometry and timing are drawn from the ranges `validate`
+        // accepts (power-of-two ranks and banks, a window the 128-slot
+        // ring holds, ccd_s <= ccd_l), so nearly every case simulates;
+        // the target crate's `semantic_violations_name_the_field` and
+        // `target_parser_never_panics` above cover rejected inputs.
+        d.ranks = [1, 2, 4, 8][(geometry[1] % 4) as usize];
         d.bank_groups = 1 + geometry[2] % 4;
-        d.banks_per_group = 1 + geometry[3] % 8;
+        d.banks_per_group = [1, 2, 4, 8][(geometry[3] % 4) as usize];
         d.access_bytes = [32, 64, 128][(geometry[4] % 3) as usize];
         d.row_bytes = d.access_bytes * (1 + geometry[5] % 64);
-        d.sched_window = 1 + geometry[6] % 130;
+        d.sched_window = 1 + geometry[6] % 127;
         let t = &mut d.timing;
         let [cl, rcd, rp, ras, ccd_l, ccd_s, rrd, faw, wr, wtr, rtw, rfc, refi, bl] =
             timing[..] else { unreachable!("14 timing values") };
+        let (ccd_s, ccd_l) = (ccd_s.min(ccd_l), ccd_s.max(ccd_l));
         (t.cl, t.rcd, t.rp, t.ras, t.ccd_l, t.ccd_s, t.rrd) = (cl, rcd, rp, ras, ccd_l, ccd_s, rrd);
         (t.faw, t.wr, t.wtr, t.rtw, t.rfc) = (faw, wr, wtr, rtw, rfc);
         t.refi = refi * (1 + geometry[7] % 400);

@@ -3,24 +3,26 @@
 
 use guardnn::adversary;
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
 use guardnn::isa::{Instruction, Response};
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn::GuardNnError;
 use guardnn_crypto::rng::TrngModel;
+use guardnn_tests::serve;
 
-fn run_session(seed: u64, integrity: bool) -> (GuardNnDevice, RemoteUser, UntrustedHost, Vec<i32>) {
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(seed, seed);
+/// One served inference of a fixed input; the session stays active on
+/// the server's device.
+fn run_session(seed: u64, integrity: bool) -> (DeviceServer, RemoteUser) {
+    let (device, manufacturer_pk) = GuardNnDevice::provision(seed, seed);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(manufacturer_pk, seed + 1);
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(seed as i32);
     let input = vec![3, 1, 4, 1, 5, 9, 2, 6];
-    let mut host = UntrustedHost::new();
-    let out = host
-        .run_inference(&mut device, &mut user, &net, &weights, &input, integrity)
-        .expect("protocol");
-    (device, user, host, out)
+    let sid = serve(&mut server, &mut user, &net, &weights, integrity).expect("serve");
+    server.infer(sid, &mut user, &input).expect("protocol");
+    (server, user)
 }
 
 /// Row 1 — Key generation: the TRNG model produces distinct keys per
@@ -41,7 +43,7 @@ fn key_generation_distinct_per_seed() {
 /// host/network relaying the messages (it cannot decrypt them).
 #[test]
 fn key_exchange_protects_against_relay() {
-    let (_, mut user, _, _) = run_session(10, false);
+    let (_, mut user) = run_session(10, false);
     let secret = vec![42i32; 8];
     let wire = user.encrypt_tensor(&secret).expect("session active");
     // The relayed wire bytes never contain the plaintext tensor.
@@ -56,11 +58,12 @@ fn key_exchange_protects_against_relay() {
 /// detected when integrity is on (threats: untrusted host / physical).
 #[test]
 fn off_chip_memory_protected() {
-    let (mut device, ..) = run_session(20, true);
+    let (mut server, _) = run_session(20, true);
+    let device = server.device_mut();
     // The input region is the first laid-out region (0x1000); its 8 i32
     // elements occupy 32 bytes. Probe exactly the written bytes.
     let input_region = device.feature_region(0).expect("layout");
-    let probe = adversary::probe_dram(&mut device, input_region, 32).expect("probe");
+    let probe = adversary::probe_dram(device, input_region, 32).expect("probe");
     // High-entropy ciphertext: small plaintext values would show zero high
     // bytes in 3 of every 4 positions.
     let zeros = probe.iter().filter(|&&b| b == 0).count();
@@ -80,12 +83,12 @@ fn off_chip_memory_protected() {
 /// plaintext, regardless of what the host issues.
 #[test]
 fn no_instruction_reveals_plaintext() {
-    let (mut device, _user, host, _) = run_session(30, false);
+    let (mut server, _) = run_session(30, false);
+    let device = server.device_mut();
     let net = testnet::tiny_mlp();
     // Issue every remotely plausible instruction sequence element and check
     // the response carries nothing but ciphertext / public material.
-    host.set_read_ctr_for_edge(&mut device, &net, 2, (1 << 32) | 2)
-        .expect("ctr");
+    adversary::set_read_ctr_for_edge(device, &net, 2, (1 << 32) | 2).expect("ctr");
     for instr in [
         Instruction::GetPk,
         Instruction::SetReadCtr {
@@ -120,9 +123,11 @@ fn no_instruction_reveals_plaintext() {
 /// the instruction sequence (threat: untrusted host).
 #[test]
 fn attestation_binds_execution() {
-    let (mut device, user, ..) = run_session(40, true);
-    let Response::Attestation { report, signature } =
-        device.execute(Instruction::SignOutput).expect("sign")
+    let (mut server, user) = run_session(40, true);
+    let Response::Attestation { report, signature } = server
+        .device_mut()
+        .execute(Instruction::SignOutput)
+        .expect("sign")
     else {
         panic!()
     };
@@ -144,9 +149,17 @@ fn attestation_binds_execution() {
 fn timing_independent_of_values() {
     // Two sessions with different inputs/weights execute the identical
     // instruction count and identical memory footprint.
-    let (mut d1, ..) = run_session(50, false);
-    let (mut d2, ..) = run_session(51, false);
-    let f1 = d1.physical_dram_mut().expect("mem").page_count();
-    let f2 = d2.physical_dram_mut().expect("mem").page_count();
+    let (mut s1, _) = run_session(50, false);
+    let (mut s2, _) = run_session(51, false);
+    let f1 = s1
+        .device_mut()
+        .physical_dram_mut()
+        .expect("mem")
+        .page_count();
+    let f2 = s2
+        .device_mut()
+        .physical_dram_mut()
+        .expect("mem")
+        .page_count();
     assert_eq!(f1, f2, "physical footprint must not depend on values");
 }

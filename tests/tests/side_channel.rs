@@ -3,13 +3,14 @@
 //! (§II-A, §II-B), checked at each modeling layer.
 
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
 use guardnn::perf::{evaluate, EvalConfig, Mode, Scheme};
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 use guardnn_models::graph::ExecutionPlan;
 use guardnn_models::zoo;
 use guardnn_systolic::{ArrayConfig, TraceBuilder};
+use guardnn_tests::serve;
 
 /// The DRAM trace is a function of shapes only: rebuilt traces are
 /// bit-identical (there is no code path through which tensor *values*
@@ -43,14 +44,18 @@ fn exec_time_deterministic() {
 #[test]
 fn functional_footprint_value_independent() {
     let footprint = |weight_seed: i32, input: Vec<i32>| {
-        let (mut device, manufacturer_pk) = GuardNnDevice::provision(1, 1);
+        let (device, manufacturer_pk) = GuardNnDevice::provision(1, 1);
+        let mut server = DeviceServer::new(device);
         let mut user = RemoteUser::new(manufacturer_pk, 2);
         let net = testnet::tiny_cnn();
         let weights = testnet::deterministic_weights(&net, weight_seed);
-        UntrustedHost::new()
-            .run_inference(&mut device, &mut user, &net, &weights, &input, true)
-            .expect("protocol");
-        device.physical_dram_mut().expect("mem").page_count()
+        let sid = serve(&mut server, &mut user, &net, &weights, true).expect("serve");
+        server.infer(sid, &mut user, &input).expect("protocol");
+        server
+            .device_mut()
+            .physical_dram_mut()
+            .expect("mem")
+            .page_count()
     };
     let base = footprint(1, vec![0; 16]);
     assert_eq!(base, footprint(99, vec![7; 16]));
@@ -61,21 +66,12 @@ fn functional_footprint_value_independent() {
 /// leaks nothing beyond the (public) tensor shape.
 #[test]
 fn ciphertext_length_value_independent() {
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(3, 3);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(3, 3);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(manufacturer_pk, 4);
-    let net = testnet::tiny_mlp();
-    let weights = testnet::tiny_mlp_weights(1);
-    // Drive the protocol once to establish a session.
-    UntrustedHost::new()
-        .run_inference(
-            &mut device,
-            &mut user,
-            &net,
-            &weights,
-            &[1, 2, 3, 4, 5, 6, 7, 8],
-            false,
-        )
-        .expect("protocol");
+    // Establish a session so the user holds channel keys.
+    let sid = server.connect(&mut user).expect("connect");
+    server.establish(sid, &mut user, false).expect("protocol");
     let w1 = user.encrypt_tensor(&[0i32; 64]).expect("enc");
     let w2 = user.encrypt_tensor(&[i32::MAX; 64]).expect("enc");
     assert_eq!(w1.len(), w2.len());

@@ -3,7 +3,7 @@
 //! when doc tests are skipped.
 
 use guardnn::device::GuardNnDevice;
-use guardnn::host::UntrustedHost;
+use guardnn::server::DeviceServer;
 use guardnn::session::RemoteUser;
 use guardnn::testnet;
 
@@ -11,16 +11,23 @@ use guardnn::testnet;
 /// crate-root docs (`crates/core/src/lib.rs`); keep the two in sync.
 #[test]
 fn crate_root_doc_example_end_to_end() {
-    let (mut device, manufacturer_pk) = GuardNnDevice::provision(7, 1);
+    let (device, manufacturer_pk) = GuardNnDevice::provision(7, 1);
+    let mut server = DeviceServer::new(device);
     let mut user = RemoteUser::new(manufacturer_pk, 99);
 
     let net = testnet::tiny_mlp();
     let weights = testnet::tiny_mlp_weights(3);
     let input = vec![1, -2, 3, 4, -5, 6, 7, -8];
 
-    let mut host = UntrustedHost::new();
-    let output = host
-        .run_inference(&mut device, &mut user, &net, &weights, &input, true)
+    let session = server.connect(&mut user).expect("device authenticates");
+    server
+        .establish(session, &mut user, true)
+        .expect("key exchange");
+    server
+        .load_model(session, &mut user, &net, &weights)
+        .expect("weights import");
+    let output = server
+        .infer(session, &mut user, &input)
         .expect("protected inference succeeds");
     assert_eq!(output, testnet::tiny_mlp_reference(&weights, &input));
 }
