@@ -22,9 +22,6 @@ fn bench_aes(c: &mut Criterion) {
     g.bench_function("encrypt_block", |b| {
         b.iter(|| cipher.encrypt_block(black_box(&block)))
     });
-    g.bench_function("decrypt_block", |b| {
-        b.iter(|| cipher.decrypt_block(black_box(&block)))
-    });
     g.finish();
 }
 

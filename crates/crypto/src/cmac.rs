@@ -6,6 +6,15 @@
 //! same pipelined AES cores serve both encryption and integrity; this module
 //! is the functional model.
 //!
+//! One message's CBC chain is serial: each block's encryption needs the
+//! previous one's output. [`Cmac::compute_parts`] runs the chain over a
+//! message's whole blocks in one engine call, with the state held in a
+//! register on the hardware rounds. [`Cmac::compute_lanes`] takes several
+//! messages of one length in lockstep, so their independent chains
+//! overlap in the AES pipeline. On CPUs with AES-NI the rounds run in
+//! constant time; the table-round fallback keeps the cache-timing caveat
+//! in [`crate::aes`].
+//!
 //! # Example
 //!
 //! ```
@@ -15,7 +24,7 @@
 //! assert_eq!(mac.len(), 16);
 //! ```
 
-use crate::aes::Aes128;
+use crate::aes::{xor_into, Aes128};
 
 /// An AES-CMAC instance with precomputed subkeys.
 #[derive(Clone)]
@@ -47,10 +56,65 @@ fn dbl(block: &[u8; 16]) -> [u8; 16] {
     out
 }
 
+/// The total length of a message given as parts.
+fn message_len(parts: &[&[u8]]) -> usize {
+    parts.iter().map(|p| p.len()).sum()
+}
+
+/// Reads a message given as parts, front to back.
+struct Reader<'a> {
+    /// Parts not yet started.
+    parts: &'a [&'a [u8]],
+    /// The unread rest of the current part.
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn new(parts: &'a [&'a [u8]]) -> Self {
+        Self { parts, rest: &[] }
+    }
+
+    /// The unread rest of the current part, moving past finished parts;
+    /// empty only at the end of the message.
+    fn current(&mut self) -> &'a [u8] {
+        while self.rest.is_empty() {
+            let Some((first, more)) = self.parts.split_first() else {
+                break;
+            };
+            (self.rest, self.parts) = (first, more);
+        }
+        self.rest
+    }
+
+    /// Takes the next `n` bytes, all from the current part.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, tail) = self.current().split_at(n);
+        self.rest = tail;
+        head
+    }
+
+    /// Copies the next `out.len()` bytes, across parts.
+    fn fill(&mut self, out: &mut [u8]) {
+        let mut filled = 0;
+        while filled < out.len() {
+            let n = self.current().len().min(out.len() - filled);
+            if n == 0 {
+                break;
+            }
+            out[filled..filled + n].copy_from_slice(self.take(n));
+            filled += n;
+        }
+    }
+}
+
 impl Cmac {
     /// Creates a CMAC instance for the given AES-128 key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let cipher = Aes128::new(key);
+        Self::from_cipher(Aes128::new(key))
+    }
+
+    /// A CMAC instance over an expanded key; derives the subkeys.
+    fn from_cipher(cipher: Aes128) -> Self {
         let l = cipher.encrypt_block(&[0u8; 16]);
         let k1 = dbl(&l);
         let k2 = dbl(&k1);
@@ -73,61 +137,85 @@ impl Cmac {
     /// assert_eq!(tag, cmac.compute(b"ciphertext\0\0\0\0\0\0\0\x07"));
     /// ```
     pub fn compute_parts(&self, parts: &[&[u8]]) -> [u8; 16] {
-        let mut x = [0u8; 16];
-        // Pending message bytes. A full buffer is only chained once more
-        // input follows, because the final block is masked with a subkey.
-        let mut buf = [0u8; 16];
-        let mut fill = 0usize;
-        let mut blocks = 1u64;
-        for part in parts {
-            let mut rest: &[u8] = part;
-            while !rest.is_empty() {
-                if fill == 16 {
-                    xor_into(&mut x, &buf);
-                    x = self.cipher.encrypt_uncounted(&x);
-                    blocks += 1;
-                    fill = 0;
-                }
-                if fill == 0 {
-                    while rest.len() > 16 {
-                        let (block, tail) = rest.split_at(16);
-                        xor_into(&mut x, block);
-                        x = self.cipher.encrypt_uncounted(&x);
-                        blocks += 1;
-                        rest = tail;
-                    }
-                }
-                let take = rest.len().min(16 - fill);
-                buf[fill..fill + take].copy_from_slice(&rest[..take]);
-                fill += take;
-                rest = &rest[take..];
+        let [tag] = self.compute_lanes([parts]);
+        tag
+    }
+
+    /// Computes the CMAC tags of `N` messages of equal length, each given
+    /// as parts as in [`Cmac::compute_parts`], in lockstep: the engine
+    /// interleaves the `N` chains block by block. The tags and the
+    /// `crypto.*` counts equal those of `N` [`Cmac::compute_parts`] calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every message has the same length.
+    ///
+    /// ```
+    /// use guardnn_crypto::cmac::Cmac;
+    ///
+    /// let cmac = Cmac::new(&[5u8; 16]);
+    /// let [a, b] = cmac.compute_lanes([&[b"chunk A", b"!"], &[b"chunk B!"]]);
+    /// assert_eq!(a, cmac.compute(b"chunk A!"));
+    /// assert_eq!(b, cmac.compute(b"chunk B!"));
+    /// ```
+    pub fn compute_lanes<const N: usize>(&self, messages: [&[&[u8]]; N]) -> [[u8; 16]; N] {
+        let len = messages.first().map_or(0, |parts| message_len(parts));
+        assert!(
+            messages.iter().all(|parts| message_len(parts) == len),
+            "CMAC lanes must have equal lengths"
+        );
+        // Every block but the last is chained as it is. The last one (1 to
+        // 16 bytes, none for the empty message) is padded and masked first.
+        let chained = len.saturating_sub(1) / 16;
+        let mut readers = messages.map(Reader::new);
+        let mut x = [[0u8; 16]; N];
+        let mut done = 0;
+        while done < chained {
+            // The whole blocks every lane has left in its current part.
+            let run = readers
+                .iter_mut()
+                .map(|r| r.current().len() / 16)
+                .min()
+                .unwrap_or(0)
+                .min(chained - done);
+            if run > 0 {
+                let runs = core::array::from_fn(|i| readers[i].take(16 * run));
+                self.cipher.cbc_lanes(&mut x, runs);
+                done += run;
+            } else {
+                // A block that straddles parts in some lane.
+                let blocks: [[u8; 16]; N] = core::array::from_fn(|i| {
+                    let mut block = [0u8; 16];
+                    readers[i].fill(&mut block);
+                    block
+                });
+                self.cipher
+                    .cbc_lanes(&mut x, blocks.each_ref().map(|b| b.as_slice()));
+                done += 1;
             }
         }
-        let subkey = if fill == 16 {
-            &self.k1
-        } else {
-            buf[fill] = 0x80;
-            buf[fill + 1..].fill(0);
-            &self.k2
-        };
-        xor_into(&mut buf, subkey);
-        xor_into(&mut x, &buf);
+        let tail = len - 16 * chained;
+        let subkey = if tail == 16 { &self.k1 } else { &self.k2 };
+        let last: [[u8; 16]; N] = core::array::from_fn(|i| {
+            let mut block = [0u8; 16];
+            readers[i].fill(&mut block[..tail]);
+            if tail < 16 {
+                block[tail] = 0x80;
+            }
+            xor_into(&mut block, subkey);
+            block
+        });
+        self.cipher
+            .cbc_lanes(&mut x, last.each_ref().map(|b| b.as_slice()));
         let rec = guardnn_obs::Recorder::global();
-        rec.add("crypto.cmac_tags", 1);
-        rec.add("crypto.aes_blocks", blocks);
-        self.cipher.encrypt_uncounted(&x)
+        rec.add("crypto.cmac_tags", N as u64);
+        rec.add("crypto.aes_blocks", (N * (chained + 1)) as u64);
+        x
     }
 
     /// Verifies a tag in constant time.
     pub fn verify(&self, message: &[u8], tag: &[u8; 16]) -> bool {
         crate::ct_eq(&self.compute(message), tag)
-    }
-}
-
-/// `x ^= block` for a 16-byte block.
-fn xor_into(x: &mut [u8; 16], block: &[u8]) {
-    for (xb, b) in x.iter_mut().zip(block) {
-        *xb ^= b;
     }
 }
 
@@ -150,55 +238,70 @@ mod tests {
         ]
     }
 
+    /// CMAC on the engine [`Aes128::new`] picks and on the table rounds.
+    fn both_engines(key: &[u8; 16]) -> [Cmac; 2] {
+        [
+            Cmac::new(key),
+            Cmac::from_cipher(Aes128::with_table_rounds(key)),
+        ]
+    }
+
+    /// The RFC 4493 tag of the first `len` bytes of [`msg64`], on both
+    /// engines and as a one-lane and a four-lane computation.
+    fn assert_rfc4493(len: usize, expected: [u8; 16]) {
+        let msg = msg64();
+        for cmac in both_engines(&KEY) {
+            assert_eq!(cmac.compute(&msg[..len]), expected);
+            let parts: &[&[u8]] = &[&msg[..len]];
+            assert_eq!(cmac.compute_lanes([parts; 4]), [expected; 4]);
+        }
+    }
+
     /// RFC 4493 example 1: empty message.
     #[test]
     fn rfc4493_empty() {
-        let tag = Cmac::new(&KEY).compute(b"");
-        assert_eq!(
-            tag,
+        assert_rfc4493(
+            0,
             [
                 0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28, 0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75,
-                0x67, 0x46
-            ]
+                0x67, 0x46,
+            ],
         );
     }
 
     /// RFC 4493 example 2: 16-byte message.
     #[test]
     fn rfc4493_one_block() {
-        let tag = Cmac::new(&KEY).compute(&msg64()[..16]);
-        assert_eq!(
-            tag,
+        assert_rfc4493(
+            16,
             [
                 0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44, 0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a,
-                0x28, 0x7c
-            ]
+                0x28, 0x7c,
+            ],
         );
     }
 
     /// RFC 4493 example 3: 40-byte message (partial last block).
     #[test]
     fn rfc4493_partial_block() {
-        let tag = Cmac::new(&KEY).compute(&msg64()[..40]);
-        assert_eq!(
-            tag,
+        assert_rfc4493(
+            40,
             [
                 0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30, 0x30, 0xca, 0x32, 0x61, 0x14, 0x97,
-                0xc8, 0x27
-            ]
+                0xc8, 0x27,
+            ],
         );
     }
 
     /// RFC 4493 example 4: 64-byte message.
     #[test]
     fn rfc4493_four_blocks() {
-        let tag = Cmac::new(&KEY).compute(&msg64());
-        assert_eq!(
-            tag,
+        assert_rfc4493(
+            64,
             [
                 0x51, 0xf0, 0xbe, 0xbf, 0x7e, 0x3b, 0x9d, 0x92, 0xfc, 0x49, 0x74, 0x17, 0x79, 0x36,
-                0x3c, 0xfe
-            ]
+                0x3c, 0xfe,
+            ],
         );
     }
 
@@ -230,6 +333,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Four lanes, each split into parts at its own points, against four
+    /// `compute_parts` calls and the table rounds.
+    #[test]
+    fn lanes_match_compute_parts() {
+        let [cmac, table] = both_engines(&KEY);
+        let msgs: Vec<Vec<u8>> = (0..4u8)
+            .map(|lane| {
+                (0..600u16)
+                    .map(|i| (i as u8).wrapping_mul(31) ^ lane)
+                    .collect()
+            })
+            .collect();
+        for len in [0, 1, 15, 16, 17, 31, 32, 33, 100, 512, 528, 600] {
+            for split in [0, 1, 16, 17, 250] {
+                // Lane i splits at `split + 5 * i`, so the lanes' part
+                // boundaries differ while their lengths agree.
+                let cuts: [[usize; 2]; 4] = core::array::from_fn(|i| {
+                    let a = (split + 5 * i).min(len);
+                    [a, (a + 16 * i + 3).min(len)]
+                });
+                let parts: [[&[u8]; 3]; 4] = core::array::from_fn(|i| {
+                    let [a, b] = cuts[i];
+                    [&msgs[i][..a], &msgs[i][a..b], &msgs[i][b..len]]
+                });
+                let lanes = parts.each_ref().map(|p| p.as_slice());
+                let expected: [[u8; 16]; 4] =
+                    core::array::from_fn(|i| table.compute(&msgs[i][..len]));
+                assert_eq!(
+                    cmac.compute_lanes(lanes),
+                    expected,
+                    "len {len} split {split}"
+                );
+                assert_eq!(
+                    table.compute_lanes(lanes),
+                    expected,
+                    "len {len} split {split}"
+                );
+                for (lane, tag) in lanes.iter().zip(expected) {
+                    assert_eq!(cmac.compute_parts(lane), tag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn lanes_of_unequal_length_panic() {
+        let _ = Cmac::new(&KEY).compute_lanes([&[b"ab".as_slice()], &[b"abc".as_slice()]]);
     }
 
     #[test]

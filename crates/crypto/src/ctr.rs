@@ -6,6 +6,12 @@
 //! used at most once per key — the accelerator guarantees this by deriving
 //! VNs from monotonic on-chip counters (see `guardnn-memprot`).
 //!
+//! The counter blocks of a range are independent, so
+//! [`AesCtr::apply_range`] encrypts several of them at once: on CPUs with
+//! AES-NI four blocks are in flight through constant-time hardware
+//! rounds; the table-round fallback keeps the cache-timing caveat in
+//! [`crate::aes`].
+//!
 //! # Example
 //!
 //! ```
@@ -94,13 +100,9 @@ impl AesCtr {
     /// `crypto.aes_blocks` update.
     pub fn apply_range(&self, base_address: u64, version: u64, data: &mut [u8]) {
         guardnn_obs::Recorder::global().add("crypto.aes_blocks", data.len().div_ceil(16) as u64);
-        for (i, chunk) in data.chunks_mut(16).enumerate() {
-            let counter = CounterBlock::new(base_address + 16 * i as u64, version);
-            let pad = self.cipher.encrypt_uncounted(&counter.to_bytes());
-            for (b, p) in chunk.iter_mut().zip(pad) {
-                *b ^= p;
-            }
-        }
+        self.cipher.apply_keystream(data, |i| {
+            CounterBlock::new(base_address + 16 * i, version).to_bytes()
+        });
     }
 }
 
@@ -135,16 +137,20 @@ mod tests {
         assert_ne!(p1, p2, "pad must change when the address changes");
     }
 
+    /// Ranges of 0 to 40 blocks, with and without a partial last block,
+    /// so both the blocks in flight and the leftover blocks are covered.
     #[test]
     fn apply_range_block_addressing() {
         let ctr = AesCtr::new(&[7; 16]);
-        let mut long = [0xA5u8; 48];
-        ctr.apply_range(0x2000, 9, &mut long);
-        // Decrypt each 16-byte block individually at its own address.
-        for (i, chunk) in long.chunks_mut(16).enumerate() {
-            ctr.apply(CounterBlock::new(0x2000 + 16 * i as u64, 9), chunk);
+        for len in (0..=40 * 16).filter(|l| l % 16 == 0 || l % 16 == 1 || l % 16 == 9) {
+            let mut long = vec![0xA5u8; len];
+            ctr.apply_range(0x2000, 9, &mut long);
+            // Decrypt each 16-byte block individually at its own address.
+            for (i, chunk) in long.chunks_mut(16).enumerate() {
+                ctr.apply(CounterBlock::new(0x2000 + 16 * i as u64, 9), chunk);
+            }
+            assert_eq!(long, vec![0xA5u8; len], "{len} bytes");
         }
-        assert_eq!(long, [0xA5u8; 48]);
     }
 
     #[test]

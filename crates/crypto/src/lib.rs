@@ -6,15 +6,22 @@
 //! verification, a hash for remote attestation, a true random number
 //! generator, and a public-key key-exchange/signature scheme run on an
 //! embedded microcontroller. This crate implements software models of all of
-//! those building blocks in safe Rust with no external dependencies:
+//! those building blocks with no external dependencies. It is safe Rust
+//! except for four `unsafe` calls in [`aes`]: plain code calling into the
+//! `#[target_feature(enable = "aes")]` functions of the AES-NI rounds.
+//! Each call is a method of a private type that holds a token only the
+//! runtime CPU check creates, so the instructions never run on a CPU that
+//! lacks them.
 //!
-//! * [`aes`] — AES-128 block cipher (FIPS-197); encryption runs in the
-//!   32-bit table form (one `u32` per state column, one round table).
+//! * [`aes`] — AES-128 encryption (FIPS-197): AES-NI rounds where the CPU
+//!   has them, with several blocks in flight, and the 32-bit table form
+//!   (one `u32` per state column, one round table) everywhere else.
 //! * [`ctr`] — AES counter mode with the GuardNN counter-block layout
 //!   (physical block address ‖ version number).
 //! * [`cmac`] — AES-CMAC (RFC 4493) used for per-chunk memory MACs; a
 //!   message may be given as several byte slices, so callers MAC data
-//!   plus address and version without concatenating them.
+//!   plus address and version without concatenating them, and several
+//!   messages of one length can be MACed in lockstep.
 //! * [`sha256`] — SHA-256 (FIPS 180-4) used for attestation hash chains.
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 2104 / RFC 5869) for session-key
 //!   derivation.
@@ -38,10 +45,11 @@
 //! ```
 //! use guardnn_crypto::aes::Aes128;
 //!
-//! let key = [0u8; 16];
-//! let cipher = Aes128::new(&key);
-//! let ct = cipher.encrypt_block(&[0u8; 16]);
-//! assert_eq!(cipher.decrypt_block(&ct), [0u8; 16]);
+//! // NIST AESAVS VarKey, first vector: key 0x80 ‖ 0…0, plaintext 0.
+//! let mut key = [0u8; 16];
+//! key[0] = 0x80;
+//! let ct = Aes128::new(&key).encrypt_block(&[0u8; 16]);
+//! assert_eq!(ct, *b"\x0e\xdd\x33\xd3\xc6\x21\xe5\x46\x45\x5b\xd8\xba\x14\x18\xbe\xc8");
 //! ```
 
 #![deny(missing_docs)]

@@ -3,7 +3,8 @@
 //! CTR ranges and CMAC messages count their AES blocks in one update, not
 //! one per block; the totals must still equal the number of block
 //! encryptions each operation performs. Each public-key operation counts
-//! the modular exponentiations it runs. This file is its own test
+//! the modular exponentiations it runs, and CMAC lanes count like the
+//! same messages one at a time. This file is its own test
 //! process, so installing the global recorder here affects nothing else,
 //! and everything runs in one test so no other thread adds to the counts.
 
@@ -78,6 +79,21 @@ fn counters_equal_block_encryptions() {
         delta(|| cmac.compute_parts(&[&chunk, &[1; 8], &[2; 8]])),
         (33, 1, 0)
     );
+    // N messages in lockstep count N tags and the blocks of N separate
+    // messages.
+    let parts: &[&[u8]] = &[&chunk, &[1; 8], &[2; 8]];
+    assert_eq!(delta(|| cmac.compute_lanes([parts; 4])), (4 * 33, 4, 0));
+    assert_eq!(delta(|| cmac.compute_lanes([parts; 3])), (3 * 33, 3, 0));
+    assert_eq!(delta(|| cmac.compute_lanes([parts])), (33, 1, 0));
+    for (len, blocks) in [(0, 1), (16, 1), (17, 2), (40, 3)] {
+        let msg = vec![7u8; len];
+        let one: &[&[u8]] = &[&msg];
+        assert_eq!(
+            delta(|| cmac.compute_lanes([one; 2])),
+            (2 * blocks, 2, 0),
+            "two {len}-byte messages"
+        );
+    }
 
     // One modexp per public-key operation, except verification's two: a
     // session costs 6 (the certificate check, and a key generation and

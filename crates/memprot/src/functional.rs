@@ -12,7 +12,14 @@
 //! never straddles a page), and a read copies page slices into the buffer
 //! it returns and decrypts there. Pages that were never written read as
 //! zeros and are not created by reads, so [`ProtectedMemory::page_count`]
-//! counts only the pages a write or an adversary hook touched.
+//! counts only the pages a write or an adversary hook touched. An empty
+//! range touches no page and no MAC.
+//!
+//! A read or write takes the MACs of the chunks it covers four at a time,
+//! through [`Cmac::compute_lanes`]: the chunks' CBC chains are independent,
+//! so the AES engine interleaves them (the prototype's MAC engines run in
+//! parallel the same way). A read still reports the first chunk, in
+//! address order, whose MAC does not verify.
 //!
 //! # Example
 //!
@@ -28,6 +35,7 @@
 use guardnn_crypto::cmac::Cmac;
 use guardnn_crypto::ctr::AesCtr;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Chunk granularity of integrity MACs (the prototype accelerator writes
 /// 512-byte chunks).
@@ -35,6 +43,12 @@ pub const CHUNK_BYTES: u64 = 512;
 
 /// Storage granularity: ciphertext is kept sparse by 4 KiB page.
 const PAGE_BYTES: u64 = 4096;
+
+/// Chunk MACs an access computes in lockstep.
+const MAC_LANES: usize = 4;
+
+/// Ciphertext pages by page number.
+type Pages = HashMap<u64, Box<[u8; 4096]>>;
 
 /// Error returned when integrity verification fails on a read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +74,7 @@ pub struct ProtectedMemory {
     ctr: AesCtr,
     cmac: Option<Cmac>,
     /// Ciphertext bytes, sparse by 4 KiB page.
-    pages: HashMap<u64, Box<[u8; 4096]>>,
+    pages: Pages,
     /// MAC per chunk address (lives in DRAM conceptually; the adversary can
     /// overwrite it via [`ProtectedMemory::tamper_mac`]).
     macs: HashMap<u64, [u8; 16]>,
@@ -100,16 +114,6 @@ impl ProtectedMemory {
         self.pages.len()
     }
 
-    /// The stored bytes of `[addr, addr + len)`, where the range lies
-    /// within one page; `None` for a page never written (it reads as
-    /// zeros).
-    fn page_slice(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let start = (addr % PAGE_BYTES) as usize;
-        self.pages
-            .get(&(addr / PAGE_BYTES))
-            .map(|p| &p[start..start + len])
-    }
-
     /// Splits `[addr, addr + len)` at page boundaries into
     /// `(address, offset into the range, length)` spans.
     fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
@@ -139,7 +143,7 @@ impl ProtectedMemory {
     pub fn raw(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         for (a, offset, take) in Self::page_spans(addr, len) {
-            if let Some(stored) = self.page_slice(a, take) {
+            if let Some(stored) = page_slice(&self.pages, a, take) {
                 out[offset..offset + take].copy_from_slice(stored);
             }
         }
@@ -163,29 +167,18 @@ impl ProtectedMemory {
             span.copy_from_slice(&plaintext[offset..offset + take]);
             self.ctr.apply_range(a, vn, span);
         }
-        if self.cmac.is_some() {
-            let first_chunk = addr / CHUNK_BYTES;
-            let last_chunk = (addr + plaintext.len() as u64 - 1) / CHUNK_BYTES;
-            for chunk in first_chunk..=last_chunk {
-                self.refresh_mac(chunk * CHUNK_BYTES, vn);
-            }
-        }
-    }
-
-    /// The CMAC of the chunk at `chunk_addr` under `vn`: over the chunk's
-    /// stored bytes, then the address and the VN (big-endian).
-    fn chunk_mac(&self, cmac: &Cmac, chunk_addr: u64, vn: u64) -> [u8; 16] {
-        const ZEROS: [u8; CHUNK_BYTES as usize] = [0u8; CHUNK_BYTES as usize];
-        let data = self
-            .page_slice(chunk_addr, CHUNK_BYTES as usize)
-            .unwrap_or(&ZEROS);
-        cmac.compute_parts(&[data, &chunk_addr.to_be_bytes(), &vn.to_be_bytes()])
-    }
-
-    fn refresh_mac(&mut self, chunk_addr: u64, vn: u64) {
         if let Some(cmac) = &self.cmac {
-            let mac = self.chunk_mac(cmac, chunk_addr, vn);
-            self.macs.insert(chunk_addr, mac);
+            let macs = &mut self.macs;
+            chunk_macs(
+                &self.pages,
+                cmac,
+                chunks(addr, plaintext.len()),
+                vn,
+                |chunk_addr, mac| {
+                    macs.insert(chunk_addr, *mac);
+                    true
+                },
+            );
         }
     }
 
@@ -200,17 +193,23 @@ impl ProtectedMemory {
     /// # Panics
     ///
     /// Panics unless the read is 16-byte aligned.
+    ///
+    /// An empty range reads as `Ok(vec![])` and checks no MAC.
     pub fn read(&self, addr: u64, len: usize, vn: u64) -> Result<Vec<u8>, VerifyChunkError> {
         assert!(addr.is_multiple_of(16), "reads must be 16-byte aligned");
         if let Some(cmac) = &self.cmac {
-            let first_chunk = addr / CHUNK_BYTES;
-            let last_chunk = (addr + len as u64 - 1) / CHUNK_BYTES;
-            for chunk in first_chunk..=last_chunk {
-                let chunk_addr = chunk * CHUNK_BYTES;
-                let stored = self.macs.get(&chunk_addr).copied().unwrap_or([0u8; 16]);
-                if !guardnn_crypto::ct_eq(&self.chunk_mac(cmac, chunk_addr, vn), &stored) {
-                    return Err(VerifyChunkError { chunk_addr });
-                }
+            let failed = chunk_macs(
+                &self.pages,
+                cmac,
+                chunks(addr, len),
+                vn,
+                |chunk_addr, mac| {
+                    let stored = self.macs.get(&chunk_addr).copied().unwrap_or([0u8; 16]);
+                    guardnn_crypto::ct_eq(mac, &stored)
+                },
+            );
+            if let Some(chunk_addr) = failed {
+                return Err(VerifyChunkError { chunk_addr });
             }
         }
         let mut data = self.raw(addr, len);
@@ -252,8 +251,81 @@ impl ProtectedMemory {
 }
 
 /// The page `page` of `pages`, created zeroed on first touch.
-fn page_entry(pages: &mut HashMap<u64, Box<[u8; 4096]>>, page: u64) -> &mut [u8; 4096] {
+fn page_entry(pages: &mut Pages, page: u64) -> &mut [u8; 4096] {
     pages.entry(page).or_insert_with(|| Box::new([0u8; 4096]))
+}
+
+/// The stored bytes of `[addr, addr + len)`, where the range lies within
+/// one page; `None` for a page never written (it reads as zeros).
+fn page_slice(pages: &Pages, addr: u64, len: usize) -> Option<&[u8]> {
+    let start = (addr % PAGE_BYTES) as usize;
+    pages
+        .get(&(addr / PAGE_BYTES))
+        .map(|p| &p[start..start + len])
+}
+
+/// The indices of the chunks `[addr, addr + len)` overlaps; none for an
+/// empty range.
+fn chunks(addr: u64, len: usize) -> Range<u64> {
+    if len == 0 {
+        return 0..0;
+    }
+    addr / CHUNK_BYTES..(addr + len as u64 - 1) / CHUNK_BYTES + 1
+}
+
+/// Takes the MAC of each chunk in `chunks` under `vn`, up to
+/// [`MAC_LANES`] in lockstep, and passes it to `keep(chunk_addr, mac)`
+/// in address order. Returns the first chunk address `keep` rejects.
+///
+/// A chunk's MAC covers its stored bytes (zeros if never written), then
+/// its address and the VN, big-endian.
+fn chunk_macs(
+    pages: &Pages,
+    cmac: &Cmac,
+    chunks: Range<u64>,
+    vn: u64,
+    mut keep: impl FnMut(u64, &[u8; 16]) -> bool,
+) -> Option<u64> {
+    let mut first = chunks.start;
+    while first < chunks.end {
+        let n = (chunks.end - first).min(MAC_LANES as u64);
+        let rejected = match n {
+            1 => mac_lanes::<1>(pages, cmac, first, vn, &mut keep),
+            2 => mac_lanes::<2>(pages, cmac, first, vn, &mut keep),
+            3 => mac_lanes::<3>(pages, cmac, first, vn, &mut keep),
+            _ => mac_lanes::<MAC_LANES>(pages, cmac, first, vn, &mut keep),
+        };
+        if rejected.is_some() {
+            return rejected;
+        }
+        first += n;
+    }
+    None
+}
+
+/// [`chunk_macs`] for the `N` chunks from index `first`, in one lockstep
+/// CMAC call.
+fn mac_lanes<const N: usize>(
+    pages: &Pages,
+    cmac: &Cmac,
+    first: u64,
+    vn: u64,
+    keep: &mut impl FnMut(u64, &[u8; 16]) -> bool,
+) -> Option<u64> {
+    const ZEROS: [u8; CHUNK_BYTES as usize] = [0u8; CHUNK_BYTES as usize];
+    let addrs: [u64; N] = core::array::from_fn(|i| (first + i as u64) * CHUNK_BYTES);
+    let addr_bytes = addrs.map(u64::to_be_bytes);
+    let vn_bytes = vn.to_be_bytes();
+    let messages: [[&[u8]; 3]; N] = core::array::from_fn(|i| {
+        let data = page_slice(pages, addrs[i], CHUNK_BYTES as usize).unwrap_or(&ZEROS);
+        [data, &addr_bytes[i], &vn_bytes]
+    });
+    let macs = cmac.compute_lanes(messages.each_ref().map(|m| m.as_slice()));
+    addrs
+        .into_iter()
+        .zip(&macs)
+        .find(|(chunk_addr, mac)| !keep(*chunk_addr, mac))
+        .map(|(chunk_addr, _)| chunk_addr)
 }
 
 #[cfg(test)]
@@ -363,16 +435,101 @@ mod tests {
         assert_eq!(mem.read(4096 - 512, 8192, 9).unwrap(), data);
     }
 
+    /// The MAC of one chunk, taken on its own over the concatenated
+    /// message: the reference for the laned MACs.
+    fn chunk_mac(mem: &ProtectedMemory, chunk_addr: u64, vn: u64) -> [u8; 16] {
+        let mut msg = mem.raw(chunk_addr, CHUNK_BYTES as usize);
+        msg.extend_from_slice(&chunk_addr.to_be_bytes());
+        msg.extend_from_slice(&vn.to_be_bytes());
+        Cmac::new(&[2u8; 16]).compute(&msg)
+    }
+
+    /// Writes of 1 to 9 chunks, chunk-aligned or starting mid-chunk and
+    /// ending in a partial chunk, across a page boundary: every MAC the
+    /// lanes store equals the per-chunk reference, and reads verify.
     #[test]
     fn chunk_mac_covers_stored_bytes_address_and_vn() {
-        let mut mem = mem_ci();
-        mem.write(4096 + 512, &[0x3C; 700], 4);
-        let cmac = Cmac::new(&[2u8; 16]);
-        for chunk_addr in [4096 + 512, 4096 + 1024] {
-            let mut msg = mem.raw(chunk_addr, CHUNK_BYTES as usize);
-            msg.extend_from_slice(&chunk_addr.to_be_bytes());
-            msg.extend_from_slice(&4u64.to_be_bytes());
-            assert_eq!(mem.macs[&chunk_addr], cmac.compute(&msg));
+        for chunks in 1..=9u64 {
+            for (start, len) in [
+                (4096 - 1024, chunks * 512),
+                (4096 - 1024 + 48, chunks * 512 - 48 - 100),
+            ] {
+                let mut mem = mem_ci();
+                let data: Vec<u8> = (0..len).map(|i| (i * 13 + chunks) as u8).collect();
+                let vn = 10 + chunks;
+                mem.write(start, &data, vn);
+                assert_eq!(
+                    mem.macs.len() as u64,
+                    chunks,
+                    "{chunks} chunks at {start:#x}"
+                );
+                for (&chunk_addr, mac) in &mem.macs {
+                    assert_eq!(
+                        *mac,
+                        chunk_mac(&mem, chunk_addr, vn),
+                        "chunk {chunk_addr:#x}"
+                    );
+                }
+                assert_eq!(mem.read(start, len as usize, vn).unwrap(), data);
+            }
+        }
+    }
+
+    /// Tampering with any chunk of a 9-chunk read (every lane of both
+    /// four-lane groups and the last single chunk) reports that chunk, and
+    /// with two tampered chunks the first one.
+    #[test]
+    fn tampering_in_any_lane_reports_the_first_failing_chunk() {
+        let base = 0x2000;
+        let mut clean = mem_ci();
+        clean.write(base, &[0x5A; 9 * 512], 3);
+        for k in 0..9u64 {
+            let chunk_addr = base + k * 512;
+            let mut mem = mem_ci();
+            mem.write(base, &[0x5A; 9 * 512], 3);
+            mem.tamper(chunk_addr + 17, 0x04);
+            assert_eq!(
+                mem.read(base, 9 * 512, 3).unwrap_err().chunk_addr,
+                chunk_addr
+            );
+            if k + 2 < 9 {
+                mem.tamper_mac(chunk_addr + 2 * 512, [0u8; 16]);
+                assert_eq!(
+                    mem.read(base, 9 * 512, 3).unwrap_err().chunk_addr,
+                    chunk_addr
+                );
+            }
+            let mut mem = mem_ci();
+            mem.write(base, &[0x5A; 9 * 512], 3);
+            mem.tamper_mac(chunk_addr, clean.macs[&(base + ((k + 1) % 9) * 512)]);
+            assert_eq!(
+                mem.read(base, 9 * 512, 3).unwrap_err().chunk_addr,
+                chunk_addr
+            );
+        }
+    }
+
+    /// Empty ranges touch no page and no MAC, wherever they start.
+    #[test]
+    fn empty_ranges_touch_nothing() {
+        for mut mem in [mem_ci(), mem_c()] {
+            assert_eq!(mem.read(0, 0, 1).unwrap(), Vec::<u8>::new());
+            mem.write(0, &[0x11; 512], 1);
+            let (pages, macs) = (mem.page_count(), mem.macs.clone());
+            mem.write(16, &[], 2);
+            mem.write(0, &[], 3);
+            mem.write(4096, &[], 4);
+            assert_eq!((mem.page_count(), &mem.macs), (pages, &macs));
+            assert_eq!(mem.read(0, 512, 1).unwrap(), [0x11; 512]);
+            if mem.verifies_integrity() {
+                assert!(
+                    mem.read(0, 512, 2).is_err(),
+                    "the empty write re-tagged nothing"
+                );
+            }
+            for addr in [0, 16, 512, 528, 1024, 0x8000] {
+                assert_eq!(mem.read(addr, 0, 7).unwrap(), Vec::<u8>::new(), "{addr:#x}");
+            }
         }
     }
 
